@@ -7,123 +7,15 @@ atomic part, diagonal similarity, diagonal-scaling placements, and partial
 transposes over clans.
 """
 
-from .clans import (
-    CLAN_ENUMERATION_CAP,
-    Clan,
-    Classification,
-    RankOneFactorError,
-    clan_at,
-    classify_minor_equal_pair,
-    find_clans,
-    is_clan_free,
-    partial_transpose,
-    rank1_factor,
-    verify_partial_transpose_invariance,
-)
-from .core import (
-    EIGENVALUE_TOL,
-    EnumerationCapError,
-    MINOR_ENUMERATION_CAP,
-    MinorTable,
-    RANK_TOL,
-    all_principal_minors,
-    as_index_set,
-    as_matrix,
-    characteristic_polynomial,
-    complement,
-    determinant,
-    eigenvalues,
-    index_sets,
-    principal_minor,
-    principal_minor_sums,
-    rank_at_most,
-    spectral_radius,
-    submatrix,
-)
-from .spectral import (
-    BooleanRadiusTable,
-    EqualityVerdict,
-    as_eta,
-    boolean_radius_table,
-    compare_boolean_tables,
-    effective_radius,
-    effective_spectrum,
-    is_boolean_eta,
-    minors_equal,
-    multisets_match,
-    same_effective_family,
-    scaling_identities_check,
-    signed_equality_check,
-    spectrum_mismatch,
-)
-from .structure import (
-    Digraph,
-    Partition,
-    SimilarityWitness,
-    adjacency_digraph,
-    atomic_part,
-    atoms,
-    diagonal_similarity_witness,
-    is_completely_reducible,
-    is_irreducible,
-    pattern_tolerance,
-)
+from . import clans, core, spectral, structure
+from .clans import *  # noqa: F403
+from .core import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .structure import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLAN_ENUMERATION_CAP",
-    "Clan",
-    "Classification",
-    "RankOneFactorError",
-    "clan_at",
-    "classify_minor_equal_pair",
-    "find_clans",
-    "is_clan_free",
-    "partial_transpose",
-    "rank1_factor",
-    "verify_partial_transpose_invariance",
-    "EIGENVALUE_TOL",
-    "EnumerationCapError",
-    "MINOR_ENUMERATION_CAP",
-    "MinorTable",
-    "RANK_TOL",
-    "all_principal_minors",
-    "as_index_set",
-    "as_matrix",
-    "characteristic_polynomial",
-    "complement",
-    "determinant",
-    "eigenvalues",
-    "index_sets",
-    "principal_minor",
-    "principal_minor_sums",
-    "rank_at_most",
-    "spectral_radius",
-    "submatrix",
-    "BooleanRadiusTable",
-    "EqualityVerdict",
-    "as_eta",
-    "boolean_radius_table",
-    "compare_boolean_tables",
-    "effective_radius",
-    "effective_spectrum",
-    "is_boolean_eta",
-    "minors_equal",
-    "multisets_match",
-    "same_effective_family",
-    "scaling_identities_check",
-    "signed_equality_check",
-    "spectrum_mismatch",
-    "Digraph",
-    "Partition",
-    "SimilarityWitness",
-    "adjacency_digraph",
-    "atomic_part",
-    "atoms",
-    "diagonal_similarity_witness",
-    "is_completely_reducible",
-    "is_irreducible",
-    "pattern_tolerance",
-    "__version__",
-]
+# Each module's ``__all__`` is its public surface; the package re-exports
+# exactly their union.
+__all__ = [*clans.__all__, *core.__all__, *spectral.__all__, *structure.__all__,
+           "__version__"]

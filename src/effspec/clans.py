@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EnumerationCapError,
     IndexSet,
+    _check_tol,
+    _enumeration_cap,
     as_index_set,
     as_matrix,
     complement,
@@ -78,6 +79,7 @@ def rank1_factor(B, tol: float = CLAN_RANK_TOL) -> tuple[np.ndarray, np.ndarray]
     entry magnitude, the block has rank above 1 and a
     :class:`RankOneFactorError` carrying an offending 2x2 minor is raised.
     """
+    _check_tol(tol)
     block = np.asarray(B, dtype=float)
     if block.ndim != 2:
         raise ValueError(f"expected a matrix block, got shape {block.shape}")
@@ -154,9 +156,7 @@ def clan_at(K, alpha, tol: float = CLAN_RANK_TOL) -> Clan | None:
 def _iter_clans(K, tol: float, max_n: int | None):
     k = as_matrix(K)
     n = k.shape[0]
-    cap = CLAN_ENUMERATION_CAP if max_n is None else max_n
-    if n > cap:
-        raise EnumerationCapError(n, cap, what="clan enumeration")
+    _enumeration_cap(n, max_n, CLAN_ENUMERATION_CAP, "clan enumeration")
     for alpha in index_sets(n, min_size=2, max_size=n - 2):
         clan = clan_at(k, alpha, tol=tol)
         if clan is not None:
@@ -224,10 +224,8 @@ def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9,
     b = as_matrix(K2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    cap = CLAN_ENUMERATION_CAP if max_n is None else max_n
-    if a.shape[0] > cap:
-        raise EnumerationCapError(a.shape[0], cap,
-                                  what="submatrix-spectra verification")
+    cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP,
+                           "submatrix-spectra verification")
     return minors_equal(a, b, tol=tol, max_n=cap)
 
 
@@ -268,10 +266,8 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9,
         raise ValueError("classification applies to nonnegative matrices only")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    cap = CLAN_ENUMERATION_CAP if max_n is None else max_n
-    if a.shape[0] > cap:
-        raise EnumerationCapError(a.shape[0], cap, what="pair classification")
-    verdict = minors_equal(a, b, tol=tol, max_n=max(cap, a.shape[0]))
+    cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP, "pair classification")
+    verdict = minors_equal(a, b, tol=tol, max_n=cap)
     if not verdict.equal:
         raise ValueError("principal minors differ (first mismatch at subset "
                          f"{verdict.witness}); classification needs a minor-equal pair")

@@ -5,12 +5,12 @@ dimension n, followed by n rows of n whitespace-separated decimals.
 A ``#`` starts a comment and blank lines are ignored.
 
 Exit codes: 0 affirmative/equal, 1 negative/unequal, 2 inconclusive,
-64 usage or input errors. Reports are deterministic; ``--json-lines``
+64 usage or input errors (a ``--tol`` that is not finite and >= 0
+included), 70 internal errors. Reports are deterministic; ``--json-lines``
 emits one ``{"key": ..., "value": ...}`` record per line instead of text.
 """
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -20,18 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .clans import clan_at, find_clans, partial_transpose
-from .core import (
-    EnumerationCapError,
-    MINOR_ENUMERATION_CAP,
-    all_principal_minors,
-    as_index_set,
-    as_matrix,
-    complement,
-    spectral_radius,
-    submatrix,
-)
+from .core import _check_tol, all_principal_minors, as_index_set, as_matrix
 from .spectral import (
     as_eta,
+    budget_minimize,
     effective_radius,
     effective_spectrum,
     same_effective_family,
@@ -171,8 +163,11 @@ def _parse_alpha(text: str, n: int):
     return as_index_set(indices, n)
 
 
-def _cap(max_n: int | None, default: int) -> int:
-    return default if max_n is None else max_n
+def _tolerance(text: str) -> float:
+    try:
+        return _check_tol(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_radius(args, max_n) -> Report:
@@ -303,30 +298,11 @@ def cmd_diagsim(args, max_n) -> Report:
 
 def cmd_minimize(args, max_n) -> Report:
     matrix = _load(args.file)
-    if (matrix < 0).any():
-        raise ValueError("budget minimization needs a nonnegative matrix")
-    n = matrix.shape[0]
-    cap = _cap(max_n, MINOR_ENUMERATION_CAP)
-    if n > cap:
-        raise EnumerationCapError(n, cap, what="budget minimization sweep")
-    budget = args.budget
-    if not 0 <= budget <= n:
-        raise ValueError(f"budget must be between 0 and {n}, got {budget}")
-    results: list[tuple[tuple[int, ...], float]] = []
-    for zeroed in itertools.combinations(range(1, n + 1), budget):
-        support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
-        if support:
-            radius = spectral_radius(submatrix(matrix, support, support))
-        else:
-            radius = 0.0
-        results.append((zeroed, radius))
-    best = min(radius for _, radius in results)
-    ties = [zeroed for zeroed, radius in results
-            if radius - best <= args.tol * max(1.0, abs(best))]
+    best, ties = budget_minimize(matrix, args.budget, tol=args.tol, max_n=max_n)
     report = Report()
     report.add("command", "minimize")
     report.add("file", args.file)
-    report.add("budget", budget)
+    report.add("budget", args.budget)
     report.add("optimal-radius", best)
     for zeroed in ties:
         report.add("optimal-set", zeroed)
@@ -345,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json-lines", action="store_true",
                         help="emit one JSON record per line")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-9,
-                     help="comparison tolerance (default 1e-9)")
+    tol.add_argument("--tol", type=_tolerance, default=1e-9,
+                     help="comparison tolerance, finite and >= 0 (default 1e-9)")
 
     parser = _Parser(
         prog="effspec",
@@ -438,6 +414,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except Exception as exc:
+        # Anything else is a defect, not a verdict: exit 1 would read as
+        # "not equal", so report it under its own code.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
     _render(report, json_lines=args.json_lines)
     return report.exit_code
 

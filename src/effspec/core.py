@@ -1,23 +1,40 @@
 """Dense real-matrix primitives.
 
-Determinants, characteristic polynomials, eigenvalues, principal minors and
-numerical rank, shared by every higher-level module. Index sets are 1-based
-sorted tuples, matching the usual row/column numbering of matrix notation.
+Determinants, characteristic polynomials, eigenvalues and principal minors,
+plus the subset table and the enumeration cap that every subset sweep
+shares. Index sets are 1-based sorted tuples, matching the usual row/column
+numbering of matrix notation.
 
 All functions are pure: they never mutate their arguments, so they are safe
 to call concurrently.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = [
+    "EIGENVALUE_TOL",
+    "EnumerationCapError",
+    "MINOR_ENUMERATION_CAP",
+    "SubsetTable",
+    "as_matrix",
+    "as_index_set",
+    "complement",
+    "index_sets",
+    "submatrix",
+    "determinant",
+    "principal_minor",
+    "all_principal_minors",
+    "characteristic_polynomial",
+    "eigenvalues",
+    "spectral_radius",
+]
+
 #: Dimension cap for full principal-minor enumeration (2**n - 1 subsets).
 MINOR_ENUMERATION_CAP = 20
-
-#: Default relative pivot threshold for numerical rank decisions.
-RANK_TOL = 1e-9
 
 #: Default relative tolerance for eigenvalue agreement.
 EIGENVALUE_TOL = 1e-8
@@ -32,6 +49,25 @@ class EnumerationCapError(ValueError):
         self.n = n
         self.cap = cap
         super().__init__(f"{what} refused for n={n}: the cap is n <= {cap}")
+
+
+def _enumeration_cap(n: int, max_n: int | None, default: int = MINOR_ENUMERATION_CAP,
+                     what: str = "principal-minor enumeration") -> int:
+    # The one cap policy of every subset sweep: ``max_n`` overrides the
+    # sweep's default, and a dimension above the cap is refused, never
+    # truncated. Returns the cap in force.
+    cap = default if max_n is None else max_n
+    if n > cap:
+        raise EnumerationCapError(n, cap, what)
+    return cap
+
+
+def _check_tol(tol: float) -> float:
+    # NaN fails every comparison and infinity accepts every mismatch, so
+    # either would turn a tolerance test into a fixed answer.
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def as_matrix(entries) -> np.ndarray:
@@ -102,11 +138,13 @@ def principal_minor(M, alpha) -> float:
 
 
 @dataclass(frozen=True)
-class MinorTable:
-    """All principal minors of a matrix, keyed by 1-based index subsets.
+class SubsetTable:
+    """One value per non-empty index subset of {1, ..., n}.
 
-    A complete table holds exactly the 2**n - 1 non-empty subsets; singleton
-    entries equal the diagonal entries of the source matrix.
+    ``values`` is keyed by 1-based index tuples in size-then-lex order and
+    holds exactly the 2**n - 1 non-empty subsets. A minor table stores
+    det(K[alpha]), so singleton entries equal the diagonal entries; a
+    boolean radius table stores rho(K[alpha]).
     """
 
     n: int
@@ -119,7 +157,7 @@ class MinorTable:
         return len(self.values)
 
 
-def all_principal_minors(M, max_n: int | None = None) -> MinorTable:
+def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:
     """Complete principal-minor table over all non-empty index subsets.
 
     Refuses matrices above the enumeration cap (``max_n`` overrides the
@@ -127,9 +165,7 @@ def all_principal_minors(M, max_n: int | None = None) -> MinorTable:
     """
     m = as_matrix(M)
     n = m.shape[0]
-    cap = MINOR_ENUMERATION_CAP if max_n is None else max_n
-    if n > cap:
-        raise EnumerationCapError(n, cap)
+    _enumeration_cap(n, max_n)
     values: dict[IndexSet, float] = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for alpha in index_sets(n):
@@ -138,29 +174,7 @@ def all_principal_minors(M, max_n: int | None = None) -> MinorTable:
             else:
                 idx = [i - 1 for i in alpha]
                 values[alpha] = float(np.linalg.det(m[np.ix_(idx, idx)]))
-    return MinorTable(n=n, values=values)
-
-
-def principal_minor_sums(M, max_n: int | None = None) -> np.ndarray:
-    """Sums of principal minors by size: entry j is the sum over |alpha| = j.
-
-    Entry 0 is 1 by convention. Exponential in n, so capped like
-    ``all_principal_minors``; serves as the ground-truth path for
-    characteristic polynomials at small dimension.
-    """
-    table = all_principal_minors(M, max_n=max_n)
-    sums = np.zeros(table.n + 1)
-    sums[0] = 1.0
-    for alpha, value in table.values.items():
-        sums[len(alpha)] += value
-    return sums
-
-
-def _coefficients_from_minor_sums(sums: np.ndarray) -> np.ndarray:
-    # Coefficient of t**k is (-1)**k * (sum of minors of size n - k), so the
-    # polynomial is det(M - t*I): leading coefficient (-1)**n, constant det(M).
-    n = len(sums) - 1
-    return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
+    return SubsetTable(n=n, values=values)
 
 
 def _minor_sums_from_traces(m: np.ndarray) -> np.ndarray:
@@ -183,26 +197,17 @@ def _minor_sums_from_traces(m: np.ndarray) -> np.ndarray:
     return sums
 
 
-def characteristic_polynomial(M, method: str = "trace",
-                              max_n: int | None = None) -> np.ndarray:
+def characteristic_polynomial(M) -> np.ndarray:
     """Characteristic polynomial det(M - t*I) as a coefficient array.
 
     Position k holds the coefficient of t**k; the constant term is det(M)
-    and the leading coefficient is (-1)**n.
-
-    ``method="trace"`` uses the Newton-identity recursion on power traces and
-    works at any dimension. ``method="minors"`` sums explicit principal
-    minors by size, which is exponential and capped, and acts as an
-    independent cross-check of the trace path.
+    and the leading coefficient is (-1)**n. Computed by the Newton-identity
+    recursion on power traces, which works at any dimension.
     """
-    m = as_matrix(M)
-    if method == "trace":
-        sums = _minor_sums_from_traces(m)
-    elif method == "minors":
-        sums = principal_minor_sums(m, max_n=max_n)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'trace' or 'minors'")
-    return _coefficients_from_minor_sums(sums)
+    sums = _minor_sums_from_traces(as_matrix(M))
+    # Coefficient of t**k is (-1)**k * (sum of minors of size n - k).
+    n = len(sums) - 1
+    return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
 
 
 def eigenvalues(M) -> np.ndarray:
@@ -219,35 +224,3 @@ def eigenvalues(M) -> np.ndarray:
 def spectral_radius(M) -> float:
     """Largest eigenvalue modulus of ``M``."""
     return float(np.abs(eigenvalues(M)).max())
-
-
-def rank_at_most(B, r: int, tol: float = RANK_TOL) -> bool:
-    """Whether the numerical rank of ``B`` is at most ``r``.
-
-    Gaussian elimination with full pivoting; a pivot counts only while its
-    magnitude exceeds ``tol`` times the largest entry of the original block.
-    Rectangular blocks are fine.
-    """
-    if r < 0:
-        raise ValueError("rank bound must be nonnegative")
-    a = np.array(B, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite (no NaN or infinity)")
-    if a.size == 0:
-        return True
-    threshold = tol * np.abs(a).max()
-    rank = 0
-    while min(a.shape) > 0:
-        i, j = np.unravel_index(np.abs(a).argmax(), a.shape)
-        if abs(a[i, j]) <= threshold:
-            break
-        rank += 1
-        if rank > r:
-            return False
-        a[[0, i], :] = a[[i, 0], :]
-        a[:, [0, j]] = a[:, [j, 0]]
-        a = a[1:, :] - np.outer(a[1:, 0] / a[0, 0], a[0, :])
-        a = a[:, 1:]
-    return rank <= r

@@ -12,6 +12,8 @@ also happens exactly when the radii agree on the boolean grid {0,1}**n.
 The verdict functions below exploit the minor-table criterion, the finite
 complete invariant; for matrices with entries of arbitrary sign the boolean
 grid no longer decides equality and only the guarded signed check applies.
+The budget search finds the boolean profiles with a fixed number of zeroed
+indices that minimize the effective radius.
 """
 
 from dataclasses import dataclass
@@ -20,12 +22,13 @@ import numpy as np
 
 from .core import (
     EIGENVALUE_TOL,
-    EnumerationCapError,
     IndexSet,
-    MINOR_ENUMERATION_CAP,
+    SubsetTable,
+    _check_tol,
+    _enumeration_cap,
     all_principal_minors,
-    as_index_set,
     as_matrix,
+    complement,
     eigenvalues,
     index_sets,
     spectral_radius,
@@ -34,7 +37,6 @@ from .core import (
 
 __all__ = [
     "EqualityVerdict",
-    "BooleanRadiusTable",
     "as_eta",
     "is_boolean_eta",
     "effective_radius",
@@ -47,6 +49,7 @@ __all__ = [
     "scaling_identities_check",
     "spectrum_mismatch",
     "multisets_match",
+    "budget_minimize",
 ]
 
 
@@ -69,26 +72,6 @@ class EqualityVerdict:
     @property
     def inconclusive(self) -> bool:
         return self.equal is None
-
-
-@dataclass(frozen=True)
-class BooleanRadiusTable:
-    """Effective radii over the boolean grid: entry alpha is rho(K[alpha]).
-
-    Evaluating the effective radius at the indicator vector of alpha equals
-    the spectral radius of the principal submatrix on alpha, so the table
-    lists the radius at every nonzero boolean profile. The all-zero profile
-    is not stored; its radius is 0 by convention.
-    """
-
-    n: int
-    values: dict[IndexSet, float]
-
-    def __getitem__(self, alpha) -> float:
-        return self.values[as_index_set(alpha, self.n)]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def as_eta(eta, n: int) -> np.ndarray:
@@ -123,33 +106,41 @@ def effective_spectrum(K, eta) -> np.ndarray:
     return eigenvalues(k * e)
 
 
-def boolean_radius_table(K, max_n: int | None = None) -> BooleanRadiusTable:
-    """Effective radii at every nonzero boolean profile.
+def boolean_radius_table(K, max_n: int | None = None) -> SubsetTable:
+    """Effective radii over the boolean grid: entry alpha is rho(K[alpha]).
 
-    Enumerates all non-empty index subsets, so it is capped like the minor
-    table (default n <= 20, overridable via ``max_n``).
+    Evaluating the effective radius at the indicator vector of alpha equals
+    the spectral radius of the principal submatrix on alpha, so the table
+    lists the radius at every nonzero boolean profile. The all-zero profile
+    is not stored; its radius is 0 by convention. Enumerates all non-empty
+    index subsets, so it is capped like the minor table (default n <= 20,
+    overridable via ``max_n``).
     """
     k = as_matrix(K)
     n = k.shape[0]
-    cap = MINOR_ENUMERATION_CAP if max_n is None else max_n
-    if n > cap:
-        raise EnumerationCapError(n, cap, what="boolean-grid radius sweep")
+    _enumeration_cap(n, max_n, what="boolean-grid radius sweep")
     values: dict[IndexSet, float] = {}
     for alpha in index_sets(n):
         if len(alpha) == 1:
             values[alpha] = abs(float(k[alpha[0] - 1, alpha[0] - 1]))
         else:
             values[alpha] = spectral_radius(submatrix(k, alpha, alpha))
-    return BooleanRadiusTable(n=n, values=values)
+    return SubsetTable(n=n, values=values)
 
 
-def _compare_tables(n, values_a, values_b, tol):
+def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
+                    tol: float) -> EqualityVerdict:
     # Mixed criterion: |a - b| <= tol * max(1, |a|, |b|), since the compared
     # quantities span many magnitudes. Witness is the first offending subset
     # in size-then-lex order; the worst normalized mismatch is also reported.
+    _check_tol(tol)
+    if table_a.n != table_b.n:
+        raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
+    values_a = table_a.values
+    values_b = table_b.values
     witness = None
     worst = 0.0
-    for alpha in index_sets(n):
+    for alpha in index_sets(table_a.n):
         a = values_a[alpha]
         b = values_b[alpha]
         mismatch = abs(a - b) / max(1.0, abs(a), abs(b))
@@ -157,7 +148,14 @@ def _compare_tables(n, values_a, values_b, tol):
             worst = mismatch
         if witness is None and mismatch > tol:
             witness = alpha
-    return witness, worst
+    return EqualityVerdict(equal=witness is None, method=method,
+                           witness=witness, max_discrepancy=worst)
+
+
+def _minor_verdict(method: str, a: np.ndarray, b: np.ndarray, tol: float,
+                   max_n: int | None) -> EqualityVerdict:
+    return _compare_tables(method, all_principal_minors(a, max_n=max_n),
+                           all_principal_minors(b, max_n=max_n), tol)
 
 
 def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> EqualityVerdict:
@@ -171,11 +169,7 @@ def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> Equality
     b = as_matrix(K2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    ta = all_principal_minors(a, max_n=max_n)
-    tb = all_principal_minors(b, max_n=max_n)
-    witness, worst = _compare_tables(ta.n, ta.values, tb.values, tol)
-    return EqualityVerdict(equal=witness is None, method="principal-minors",
-                           witness=witness, max_discrepancy=worst)
+    return _minor_verdict("principal-minors", a, b, tol, max_n)
 
 
 def same_effective_family(K, K2, tol: float = 1e-9,
@@ -223,21 +217,46 @@ def signed_equality_check(K, K2, tol: float = 1e-9,
         return EqualityVerdict(equal=None, method=method,
                                detail=f"diagonal has {zeros} zero entries "
                                       "(at most one allowed)")
-    ta = all_principal_minors(a, max_n=max_n)
-    tb = all_principal_minors(b, max_n=max_n)
-    witness, worst = _compare_tables(ta.n, ta.values, tb.values, tol)
-    return EqualityVerdict(equal=witness is None, method=method,
-                           witness=witness, max_discrepancy=worst)
+    return _minor_verdict(method, a, b, tol, max_n)
 
 
-def compare_boolean_tables(table_a: BooleanRadiusTable, table_b: BooleanRadiusTable,
+def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
                            tol: float = EIGENVALUE_TOL) -> EqualityVerdict:
     """Compare two boolean-grid radius tables subset by subset."""
-    if table_a.n != table_b.n:
-        raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
-    witness, worst = _compare_tables(table_a.n, table_a.values, table_b.values, tol)
-    return EqualityVerdict(equal=witness is None, method="boolean-radius-grid",
-                           witness=witness, max_discrepancy=worst)
+    return _compare_tables("boolean-radius-grid", table_a, table_b, tol)
+
+
+def budget_minimize(K, budget: int, tol: float = 1e-9,
+                    max_n: int | None = None) -> tuple[float, list[IndexSet]]:
+    """Boolean profiles with ``budget`` zeroed indices that minimize the radius.
+
+    The profile zeroing the indices in ``zeroed`` has effective radius
+    rho(K[support]), with support the complement of ``zeroed``; all
+    C(n, budget) profiles are evaluated. Returns the minimal radius and
+    every zeroed set within ``tol * max(1, best)`` of it, in lexicographic
+    order. K must be nonnegative. Exhaustive, hence capped like the minor
+    table (default n <= 20, overridable via ``max_n``).
+    """
+    k = as_matrix(K)
+    if (k < 0).any():
+        raise ValueError("budget minimization needs a nonnegative matrix")
+    n = k.shape[0]
+    _enumeration_cap(n, max_n, what="budget minimization sweep")
+    if not 0 <= budget <= n:
+        raise ValueError(f"budget must be between 0 and {n}, got {budget}")
+    _check_tol(tol)
+    results: list[tuple[IndexSet, float]] = []
+    for zeroed in index_sets(n, min_size=budget, max_size=budget):
+        support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
+        if support:
+            radius = spectral_radius(submatrix(k, support, support))
+        else:
+            radius = 0.0
+        results.append((zeroed, radius))
+    best = min(radius for _, radius in results)
+    ties = [zeroed for zeroed, radius in results
+            if radius - best <= tol * max(1.0, abs(best))]
+    return best, ties
 
 
 def spectrum_mismatch(values_a, values_b) -> float:

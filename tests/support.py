@@ -1,16 +1,18 @@
 """Shared generators and brute-force oracles for the test suite.
 
 The oracles stay deliberately independent of the library paths they check:
-irreducibility goes through reachability closure instead of component
-search, clan detection through explicit 2x2 minors instead of elimination,
-and maximal irreducible sets through exhaustive subset enumeration.
+characteristic polynomials come from summed principal minors instead of
+the trace recursion, irreducibility goes through reachability closure
+instead of component search, clan detection through explicit 2x2 minors
+instead of elimination, and maximal irreducible sets through exhaustive
+subset enumeration.
 """
 
 import itertools
 
 import numpy as np
 
-from effspec import complement, index_sets, submatrix
+from effspec import all_principal_minors, complement, index_sets, submatrix
 
 
 def random_nonnegative(rng, n, density=0.65, low=0.2, high=1.2):
@@ -42,6 +44,21 @@ def random_clan_instance(rng, n, m=None, low=-1.0, high=1.0):
     w = rng.uniform(low, high, m)
     matrix = np.block([[a_block, np.outer(v, b)], [np.outer(c, w), b_block]])
     return matrix, tuple(range(1, m + 1)), v, b, c, w
+
+
+def characteristic_polynomial_by_minors(M):
+    """Coefficients of det(M - t*I), position k for t**k, from minor sums.
+
+    The coefficient of t**k is (-1)**k times the sum of the principal
+    minors of size n - k (the empty minor counts as 1). Exponential in n.
+    """
+    table = all_principal_minors(M)
+    sums = np.zeros(table.n + 1)
+    sums[0] = 1.0
+    for alpha, value in table.values.items():
+        sums[len(alpha)] += value
+    n = table.n
+    return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
 
 
 def rank_le_one_by_minors(block, tol=1e-9):

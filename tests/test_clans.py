@@ -61,6 +61,15 @@ class TestRankOneFactor:
 
 
 class TestFindClans:
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # Unchecked, NaN passes every rank test and makes every subset a clan.
+        matrix = np.random.default_rng(67).uniform(0.1, 1.1, (4, 4))
+        with pytest.raises(ValueError, match="tolerance"):
+            rank1_factor(matrix, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            find_clans(matrix, tol=tol)
+
     def test_small_matrices_are_clan_free(self):
         rng = np.random.default_rng(62)
         for n in (1, 2, 3):

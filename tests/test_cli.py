@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from effspec import effective_radius
+from effspec import cli, effective_radius
 from effspec.cli import format_matrix, main, parse_matrix
 from support import random_clan_instance, random_positive
 
@@ -329,6 +329,37 @@ class TestUsageAndEnvironment:
         monkeypatch.setenv("EFFSPEC_MAX_N", "22")
         assert main(args) == 0
         assert "optimal-radius: 0\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        # Unchecked, each prints a wrong verdict: NaN and infinity read as
+        # "equal", -1 as "not-equal", NaN makes every 2-subset a clan and
+        # leaves minimize without an optimal set.
+        ["compare", "{a}", "{b}", "--tol", "nan"],
+        ["compare", "{a}", "{a}", "--tol", "-1"],
+        ["compare", "{a}", "{b}", "--tol", "inf"],
+        ["clans", "{a}", "--tol", "nan"],
+        ["minimize", "{a}", "--budget", "1", "--tol", "nan"],
+    ], ids=["compare-nan", "compare-negative", "compare-inf", "clans-nan", "minimize-nan"])
+    def test_bad_tolerance_is_usage_error(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(91)
+        matrix = random_positive(rng, 4)
+        bumped = matrix.copy()
+        bumped[0, 1] += 1.0
+        files = {"a": write(tmp_path, "a.txt", matrix), "b": write(tmp_path, "b.txt", bumped)}
+        assert main([arg.format(**files) for arg in command]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance" in captured.err
+
+    def test_internal_error_exits_70(self, swap_file, monkeypatch, capsys):
+        def broken(args, max_n):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_radius", broken)
+        assert main(["radius", swap_file]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: RuntimeError: boom" in captured.err
 
     def test_env_cap_invalid(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "m.txt", np.eye(2))

@@ -13,11 +13,10 @@ from effspec import (
     index_sets,
     multisets_match,
     principal_minor,
-    principal_minor_sums,
-    rank_at_most,
     spectral_radius,
     submatrix,
 )
+from support import characteristic_polynomial_by_minors
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -121,21 +120,14 @@ class TestCharacteristicPolynomial:
         for _ in range(40):
             n = int(rng.integers(1, 8))
             m = rng.uniform(-1, 1, (n, n))
-            via_traces = characteristic_polynomial(m, method="trace")
-            via_minors = characteristic_polynomial(m, method="minors")
+            via_traces = characteristic_polynomial(m)
+            via_minors = characteristic_polynomial_by_minors(m)
             for a, b in zip(via_traces, via_minors):
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
-    def test_minor_sum_path_respects_cap(self):
-        with pytest.raises(EnumerationCapError, match="20"):
-            characteristic_polynomial(np.eye(21), method="minors")
-        # The trace path has no cap.
+    def test_trace_path_has_no_cap(self):
         coeffs = characteristic_polynomial(np.eye(21))
         assert coeffs[-1] == pytest.approx(-1.0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            characteristic_polynomial(np.eye(2), method="magic")
 
 
 class TestEigenvalues:
@@ -146,7 +138,7 @@ class TestEigenvalues:
     def test_off_diagonal_frozen(self):
         # Minor-sum coefficients of ((0,1),(4,0)) give t**2 - 4, roots +-2.
         np.testing.assert_allclose(
-            characteristic_polynomial([[0.0, 1.0], [4.0, 0.0]], method="minors"),
+            characteristic_polynomial_by_minors([[0.0, 1.0], [4.0, 0.0]]),
             [-4.0, 0.0, 1.0], atol=1e-14)
         values = eigenvalues([[0.0, 1.0], [4.0, 0.0]])
         assert multisets_match(values, [2.0, -2.0], tol=1e-12)
@@ -253,37 +245,3 @@ class TestPrincipalMinors:
             all_principal_minors(np.eye(5), max_n=4)
         assert len(all_principal_minors(np.eye(5), max_n=5)) == 31
 
-    def test_minor_sums(self):
-        sums = principal_minor_sums(np.eye(3))
-        np.testing.assert_allclose(sums, [1.0, 3.0, 3.0, 1.0])
-
-
-class TestRankAtMost:
-    def test_zero_block(self):
-        assert rank_at_most(np.zeros((2, 3)), 1)
-        assert rank_at_most(np.zeros((2, 3)), 0)
-
-    def test_outer_product(self):
-        block = np.outer([1.0, 2.0], [3.0, 1.0, 4.0])
-        assert rank_at_most(block, 1)
-        assert not rank_at_most(block, 0)
-
-    def test_identity_is_rank_two(self):
-        assert not rank_at_most(np.eye(2), 1)
-        assert rank_at_most(np.eye(2), 2)
-
-    def test_tolerance_threshold(self):
-        base = np.outer([1.0, 2.0], [3.0, 1.0, 4.0])
-        noisy = base + 1e-12
-        assert rank_at_most(noisy, 1, tol=1e-9)
-        assert not rank_at_most(base + np.array([[0.0, 0.0, 0.0], [0.0, 1e-3, 0.0]]),
-                                1, tol=1e-9)
-
-    def test_rectangular_tall(self):
-        rng = np.random.default_rng(2)
-        block = np.outer(rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 2))
-        assert rank_at_most(block, 1)
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            rank_at_most(np.eye(2), -1)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effspec import (
+    EnumerationCapError,
     as_eta,
     atomic_part,
     boolean_radius_table,
+    budget_minimize,
     compare_boolean_tables,
     effective_radius,
     effective_spectrum,
@@ -145,8 +147,6 @@ class TestBooleanRadiusTable:
         assert verdict.max_discrepancy > 0.1
 
     def test_cap(self):
-        from effspec import EnumerationCapError
-
         with pytest.raises(EnumerationCapError):
             boolean_radius_table(np.eye(21))
 
@@ -175,6 +175,17 @@ class TestMinorsEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             minors_equal(np.eye(2), np.eye(3))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tolerance_rejected(self, tol, zero_diag_pair):
+        swap, rotation = zero_diag_pair
+        with pytest.raises(ValueError, match="tolerance"):
+            minors_equal(swap, rotation, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            signed_equality_check(np.eye(2), np.eye(2), tol=tol)
+        table = boolean_radius_table(swap)
+        with pytest.raises(ValueError, match="tolerance"):
+            compare_boolean_tables(table, table, tol=tol)
 
 
 class TestSameEffectiveFamily:
@@ -236,6 +247,57 @@ class TestSignedEqualityCheck:
     def test_single_zero_diagonal_allowed(self):
         matrix = np.array([[0.0, 1.0], [1.0, 2.0]])
         assert signed_equality_check(matrix, matrix).equal is True
+
+
+# Two disjoint swaps: zeroing one index of each pair kills every cycle.
+TWO_SWAPS = np.array([[0.0, 1.0, 0.0, 0.0],
+                      [1.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 2.0],
+                      [0.0, 0.0, 2.0, 0.0]])
+
+
+class TestBudgetMinimize:
+    def test_ties_in_lexicographic_order(self):
+        best, ties = budget_minimize(TWO_SWAPS, 2)
+        assert best == 0.0
+        assert ties == [(1, 3), (1, 4), (2, 3), (2, 4)]
+
+    def test_worse_profiles_are_not_ties(self):
+        best, ties = budget_minimize(TWO_SWAPS, 1)
+        assert best == pytest.approx(1.0)
+        assert ties == [(3,), (4,)]
+
+    def test_budget_zero_is_full_radius(self):
+        rng = np.random.default_rng(90)
+        matrix = random_nonnegative(rng, 5)
+        best, ties = budget_minimize(matrix, 0)
+        assert best == effective_radius(matrix, np.ones(5))
+        assert ties == [()]
+
+    def test_budget_n_zeroes_everything(self):
+        best, ties = budget_minimize(TWO_SWAPS, 4)
+        assert (best, ties) == (0.0, [(1, 2, 3, 4)])
+
+    def test_budget_out_of_range(self):
+        with pytest.raises(ValueError, match="budget"):
+            budget_minimize(TWO_SWAPS, 5)
+
+    def test_negative_matrix_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            budget_minimize(-TWO_SWAPS, 1)
+
+    def test_default_cap_and_override(self):
+        with pytest.raises(EnumerationCapError) as info:
+            budget_minimize(np.eye(21), 21)
+        assert info.value.cap == 20
+        with pytest.raises(EnumerationCapError):
+            budget_minimize(TWO_SWAPS, 1, max_n=3)
+        assert budget_minimize(np.eye(21), 21, max_n=21) == (0.0, [tuple(range(1, 22))])
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            budget_minimize(TWO_SWAPS, 1, tol=tol)
 
 
 class TestScalingIdentities:
