@@ -12,6 +12,8 @@ to call concurrently.
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -137,24 +139,46 @@ def principal_minor(M, alpha) -> float:
     return determinant(submatrix(M, alpha, alpha))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubsetTable:
     """One value per non-empty index subset of {1, ..., n}.
 
-    ``values`` is keyed by 1-based index tuples in size-then-lex order and
-    holds exactly the 2**n - 1 non-empty subsets. A minor table stores
-    det(K[alpha]), so singleton entries equal the diagonal entries; a
-    boolean radius table stores rho(K[alpha]).
+    ``array`` holds the 2**n - 1 values, read-only, in the size-then-lex
+    order of :func:`index_sets`; ``values`` is a read-only mapping from
+    1-based index tuples to the same values in the same order. A minor
+    table stores det(K[alpha]), a boolean radius table rho(K[alpha]).
     """
 
     n: int
-    values: dict[IndexSet, float]
+    array: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "array", np.array(self.array, dtype=np.float64))
+        self.array.flags.writeable = False
+
+    @cached_property
+    def values(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(index_sets(self.n), self.array.tolist())))
 
     def __getitem__(self, alpha) -> float:
         return self.values[as_index_set(alpha, self.n)]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
+
+
+def _principal_blocks(m: np.ndarray, size: int) -> np.ndarray:
+    # Every principal block of one size, stacked in lex order of index sets.
+    idx = np.array(list(itertools.combinations(range(m.shape[0]), size)), dtype=np.intp)
+    return m[idx[:, :, None], idx[:, None, :]]
+
+
+def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
+    # Values in index_sets order: singletons off the diagonal, one batched call
+    # per larger size. Singular blocks and overflows are answers, not warnings.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.concatenate([m.diagonal()] + [batch(_principal_blocks(m, size))
+                                                for size in range(2, m.shape[0] + 1)])
 
 
 def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:
@@ -164,17 +188,8 @@ def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:
     default of ``MINOR_ENUMERATION_CAP``) rather than truncating silently.
     """
     m = as_matrix(M)
-    n = m.shape[0]
-    _enumeration_cap(n, max_n)
-    values: dict[IndexSet, float] = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for alpha in index_sets(n):
-            if len(alpha) == 1:
-                values[alpha] = float(m[alpha[0] - 1, alpha[0] - 1])
-            else:
-                idx = [i - 1 for i in alpha]
-                values[alpha] = float(np.linalg.det(m[np.ix_(idx, idx)]))
-    return SubsetTable(n=n, values=values)
+    _enumeration_cap(m.shape[0], max_n)
+    return SubsetTable(m.shape[0], _subset_sweep(m, np.linalg.det))
 
 
 def _minor_sums_from_traces(m: np.ndarray) -> np.ndarray:

@@ -16,7 +16,8 @@ The budget search finds the boolean profiles with a fixed number of zeroed
 indices that minimize the effective radius.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,13 +27,13 @@ from .core import (
     SubsetTable,
     _check_tol,
     _enumeration_cap,
+    _principal_blocks,
+    _subset_sweep,
     all_principal_minors,
     as_matrix,
-    complement,
     eigenvalues,
     index_sets,
     spectral_radius,
-    submatrix,
 )
 
 __all__ = [
@@ -117,45 +118,39 @@ def boolean_radius_table(K, max_n: int | None = None) -> SubsetTable:
     overridable via ``max_n``).
     """
     k = as_matrix(K)
-    n = k.shape[0]
-    _enumeration_cap(n, max_n, what="boolean-grid radius sweep")
-    values: dict[IndexSet, float] = {}
-    for alpha in index_sets(n):
-        if len(alpha) == 1:
-            values[alpha] = abs(float(k[alpha[0] - 1, alpha[0] - 1]))
-        else:
-            values[alpha] = spectral_radius(submatrix(k, alpha, alpha))
-    return SubsetTable(n=n, values=values)
+    _enumeration_cap(k.shape[0], max_n, what="boolean-grid radius sweep")
+    # abs turns the diagonal singletons into their radii and keeps the rest.
+    return SubsetTable(k.shape[0], np.abs(_subset_sweep(k, _radii)))
+
+
+def _radii(blocks: np.ndarray) -> np.ndarray:
+    # Spectral radius of each block of a stack; an empty block has radius 0.
+    return np.abs(np.linalg.eigvals(blocks)).max(-1, initial=0.0)
+
+
+def _subset_at(n: int, position: int) -> IndexSet:
+    return next(itertools.islice(index_sets(n), position, None))
 
 
 def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
                     tol: float) -> EqualityVerdict:
-    # Mixed criterion: |a - b| <= tol * max(1, |a|, |b|), since the compared
-    # quantities span many magnitudes. Witness is the first offending subset
-    # in size-then-lex order; the worst normalized mismatch is also reported.
+    # Mixed criterion |a - b| <= tol * max(1, |a|, |b|), as the values span many
+    # magnitudes. Witness: first offending subset; max_discrepancy: the worst
+    # mismatch. An overflowed (non-finite) value has no mismatch: it fails.
     _check_tol(tol)
     if table_a.n != table_b.n:
         raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
-    values_a = table_a.values
-    values_b = table_b.values
-    witness = None
-    worst = 0.0
-    for alpha in index_sets(table_a.n):
-        a = values_a[alpha]
-        b = values_b[alpha]
-        mismatch = abs(a - b) / max(1.0, abs(a), abs(b))
-        if mismatch > worst:
-            worst = mismatch
-        if witness is None and mismatch > tol:
-            witness = alpha
-    return EqualityVerdict(equal=witness is None, method=method,
-                           witness=witness, max_discrepancy=worst)
-
-
-def _minor_verdict(method: str, a: np.ndarray, b: np.ndarray, tol: float,
-                   max_n: int | None) -> EqualityVerdict:
-    return _compare_tables(method, all_principal_minors(a, max_n=max_n),
-                           all_principal_minors(b, max_n=max_n), tol)
+    a, b = table_a.array, table_b.array
+    broken = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b)))
+    if broken.size:
+        raise ValueError(f"table value for subset {_subset_at(table_a.n, int(broken[0]))} "
+                         "is not finite (overflow); the tables cannot be compared")
+    with np.errstate(over="ignore"):  # huge opposite values differ by inf, silently
+        mismatch = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    offending = np.flatnonzero(mismatch > tol)
+    witness = _subset_at(table_a.n, int(offending[0])) if offending.size else None
+    return EqualityVerdict(equal=witness is None, method=method, witness=witness,
+                           max_discrepancy=float(mismatch.max()))
 
 
 def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> EqualityVerdict:
@@ -165,11 +160,13 @@ def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> Equality
     of nonnegative matrices, and it implies that equality for matrices of
     any sign pattern.
     """
+    _check_tol(tol)  # before the tables, which can take seconds to build
     a = as_matrix(K)
     b = as_matrix(K2)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _minor_verdict("principal-minors", a, b, tol, max_n)
+    return _compare_tables("principal-minors", all_principal_minors(a, max_n=max_n),
+                           all_principal_minors(b, max_n=max_n), tol)
 
 
 def same_effective_family(K, K2, tol: float = 1e-9,
@@ -201,6 +198,7 @@ def signed_equality_check(K, K2, tol: float = 1e-9,
     is inconclusive and carries the failed precondition; inequality of the
     minors proves nothing in that regime, so no claim is made either way.
     """
+    _check_tol(tol)
     a = as_matrix(K)
     b = as_matrix(K2)
     if a.shape != b.shape:
@@ -217,7 +215,7 @@ def signed_equality_check(K, K2, tol: float = 1e-9,
         return EqualityVerdict(equal=None, method=method,
                                detail=f"diagonal has {zeros} zero entries "
                                       "(at most one allowed)")
-    return _minor_verdict(method, a, b, tol, max_n)
+    return replace(minors_equal(a, b, tol=tol, max_n=max_n), method=method)
 
 
 def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
@@ -245,16 +243,10 @@ def budget_minimize(K, budget: int, tol: float = 1e-9,
     if not 0 <= budget <= n:
         raise ValueError(f"budget must be between 0 and {n}, got {budget}")
     _check_tol(tol)
-    results: list[tuple[IndexSet, float]] = []
-    for zeroed in index_sets(n, min_size=budget, max_size=budget):
-        support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
-        if support:
-            radius = spectral_radius(submatrix(k, support, support))
-        else:
-            radius = 0.0
-        results.append((zeroed, radius))
-    best = min(radius for _, radius in results)
-    ties = [zeroed for zeroed, radius in results
+    # Complementing reverses lex order within a size: reversed supports match.
+    radii = _radii(_principal_blocks(k, n - budget))[::-1].tolist()
+    best = min(radii)
+    ties = [zeroed for zeroed, radius in zip(index_sets(n, budget, budget), radii)
             if radius - best <= tol * max(1.0, abs(best))]
     return best, ties
 

@@ -4,15 +4,22 @@ The oracles stay deliberately independent of the library paths they check:
 characteristic polynomials come from summed principal minors instead of
 the trace recursion, irreducibility goes through reachability closure
 instead of component search, clan detection through explicit 2x2 minors
-instead of elimination, and maximal irreducible sets through exhaustive
-subset enumeration.
+instead of elimination, maximal irreducible sets through exhaustive
+subset enumeration, and subset tables and the budget search through one
+LU or eigenvalue call per subset instead of one batched call per size.
 """
 
 import itertools
 
 import numpy as np
 
-from effspec import all_principal_minors, complement, index_sets, submatrix
+from effspec import (
+    all_principal_minors,
+    complement,
+    index_sets,
+    spectral_radius,
+    submatrix,
+)
 
 
 def random_nonnegative(rng, n, density=0.65, low=0.2, high=1.2):
@@ -59,6 +66,45 @@ def characteristic_polynomial_by_minors(M):
         sums[len(alpha)] += value
     n = table.n
     return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
+
+
+def minor_table_by_lu(M):
+    """Principal minors in index_sets order, one LU determinant per subset.
+
+    Singletons are read off the diagonal, exactly as the table stores them.
+    """
+    m = np.asarray(M, dtype=float)
+    values = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for alpha in index_sets(m.shape[0]):
+            if len(alpha) == 1:
+                values.append(float(m[alpha[0] - 1, alpha[0] - 1]))
+            else:
+                values.append(float(np.linalg.det(submatrix(m, alpha, alpha))))
+    return np.array(values)
+
+
+def radius_table_by_subset(K):
+    """rho(K[alpha]) in index_sets order, one eigenvalue call per subset."""
+    k = np.asarray(K, dtype=float)
+    return np.array([abs(float(k[alpha[0] - 1, alpha[0] - 1])) if len(alpha) == 1
+                     else spectral_radius(submatrix(k, alpha, alpha))
+                     for alpha in index_sets(k.shape[0])])
+
+
+def budget_search_by_profile(K, budget, tol=1e-9):
+    """(best radius, lexicographic ties) over every zeroed set of one size,
+    with one spectral radius per profile on the complement support."""
+    k = np.asarray(K, dtype=float)
+    n = k.shape[0]
+    results = []
+    for zeroed in index_sets(n, min_size=budget, max_size=budget):
+        support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
+        radius = spectral_radius(submatrix(k, support, support)) if support else 0.0
+        results.append((zeroed, radius))
+    best = min(radius for _, radius in results)
+    return best, [zeroed for zeroed, radius in results
+                  if radius - best <= tol * max(1.0, abs(best))]
 
 
 def rank_le_one_by_minors(block, tol=1e-9):

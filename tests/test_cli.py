@@ -144,6 +144,17 @@ class TestCompare:
     def test_missing_file(self, swap_file):
         assert main(["compare", swap_file, "/nonexistent/m.txt"]) == 64
 
+    @pytest.mark.parametrize("signed", [[], ["--signed"]], ids=["unsigned", "signed"])
+    def test_overflowed_minor_is_usage_error(self, tmp_path, capsys, signed):
+        # True 2x2 minors 0 and -1e320: the overflow must not read as "equal".
+        a = write(tmp_path, "a.txt", [[1e160, 1e160], [1e160, 1e160]])
+        b = write(tmp_path, "b.txt", [[1e160, 2e160], [1e160, 1e160]])
+        assert main(["compare", a, b] + signed) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "subset (1, 2) is not finite" in captured.err
+        assert "RuntimeWarning" not in captured.err
+
 
 class TestTableCommands:
     def test_minors_lists_all_subsets(self, swap_file, capsys):

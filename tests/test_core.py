@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from effspec import (
     EnumerationCapError,
+    SubsetTable,
     all_principal_minors,
     as_matrix,
     characteristic_polynomial,
@@ -244,4 +245,37 @@ class TestPrincipalMinors:
         with pytest.raises(EnumerationCapError):
             all_principal_minors(np.eye(5), max_n=4)
         assert len(all_principal_minors(np.eye(5), max_n=5)) == 31
+
+
+class TestSubsetTable:
+    def table(self):
+        rng = np.random.default_rng(17)
+        return all_principal_minors(rng.uniform(-1, 1, (4, 4)))
+
+    def test_array_is_read_only_float64(self):
+        array = self.table().array
+        assert array.dtype == np.float64 and array.shape == (2 ** 4 - 1,)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+    def test_values_reject_item_assignment(self):
+        table = self.table()
+        with pytest.raises(TypeError):
+            table.values[(1,)] = 0.0
+        with pytest.raises(TypeError):
+            del table.values[(1, 2)]
+
+    def test_values_follow_index_sets_order(self):
+        table = self.table()
+        assert list(table.values) == list(index_sets(4))
+        assert list(table.values.values()) == table.array.tolist()
+        assert table[(2, 1)] == table.values[(1, 2)] == table.array[4]
+
+    def test_constructor_copies_its_input(self):
+        source = np.array([1.0, 2.0, 3.0])
+        table = SubsetTable(2, source)
+        source[0] = 9.0
+        assert source.flags.writeable
+        assert table.values == {(1,): 1.0, (2,): 2.0, (1, 2): 3.0}
 

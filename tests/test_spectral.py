@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from effspec import (
     EnumerationCapError,
+    SubsetTable,
     as_eta,
     atomic_part,
     boolean_radius_table,
@@ -22,6 +23,7 @@ from effspec import (
     spectrum_mismatch,
     submatrix,
 )
+from effspec import spectral
 from support import random_nonnegative
 
 
@@ -186,6 +188,36 @@ class TestMinorsEqual:
         table = boolean_radius_table(swap)
         with pytest.raises(ValueError, match="tolerance"):
             compare_boolean_tables(table, table, tol=tol)
+
+    def test_tolerance_checked_before_tables(self, monkeypatch, zero_diag_pair):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a minor table was built for a bad tolerance")
+
+        monkeypatch.setattr(spectral, "all_principal_minors", refuse)
+        with pytest.raises(ValueError, match="tolerance"):
+            minors_equal(np.eye(14), np.eye(14), tol=np.nan)
+        # The guard fails on this pair (two zero diagonal entries), which
+        # must not turn a bad tolerance into an inconclusive verdict.
+        swap, rotation = zero_diag_pair
+        with pytest.raises(ValueError, match="tolerance"):
+            signed_equality_check(swap, rotation, tol=np.nan)
+
+    def test_overflowed_minor_is_an_error(self):
+        # The 2x2 minors are 0 and -1e320; the second overflows to -inf, and
+        # the mismatch inf / inf = nan fails every "> tol" test.
+        a = [[1e160, 1e160], [1e160, 1e160]]
+        b = [[1e160, 2e160], [1e160, 1e160]]
+        with pytest.raises(ValueError, match=r"subset \(1, 2\) is not finite"):
+            minors_equal(a, b)
+        with pytest.raises(ValueError, match="not finite"):
+            same_effective_family(a, b)
+
+    def test_non_finite_value_in_either_table_is_named(self):
+        finite = SubsetTable(2, [1.0, 1.0, 2.0])
+        broken = SubsetTable(2, [1.0, np.nan, np.inf])
+        for a, b in ((finite, broken), (broken, finite)):
+            with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+                compare_boolean_tables(a, b)
 
 
 class TestSameEffectiveFamily:
@@ -377,3 +409,42 @@ class TestEquivalenceChains:
             grid = compare_boolean_tables(boolean_radius_table(matrix),
                                           boolean_radius_table(bumped), tol=1e-10)
             assert not grid.equal
+
+
+@st.composite
+def family_pair(draw):
+    """A nonnegative pair (K, K2) that shares its minors by construction
+    (diagonal similarity or transpose) or differs in one 2x2 minor (one
+    entry of a reciprocal pair scaled by 1.1), with its expected verdict."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = rng.uniform(0.1, 1.1, (n, n))
+    if draw(st.booleans()):
+        np.fill_diagonal(matrix, 0.0)
+    construction = draw(st.sampled_from(["similarity", "transpose", "perturbed"]))
+    if construction == "similarity":
+        d = rng.uniform(0.5, 2.0, n)
+        other = d[:, None] * matrix / d[None, :]
+    elif construction == "transpose":
+        other = matrix.T.copy()
+    else:
+        other = matrix.copy()
+        i, j = rng.choice(n, 2, replace=False)
+        other[i, j] *= 1.1
+    return matrix, other, construction != "perturbed", rng
+
+
+class TestVerdictInvariance:
+    """The verdict of same_effective_family must not change under the
+    symmetries that preserve every principal minor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family_pair())
+    def test_symmetries_keep_the_verdict(self, case):
+        a, b, expected, rng = case
+        assert same_effective_family(a, b).equal is expected
+        p = rng.permutation(a.shape[0])
+        assert same_effective_family(a[np.ix_(p, p)], b[np.ix_(p, p)]).equal is expected
+        assert same_effective_family(a.T, b.T).equal is expected
+        d = rng.uniform(0.5, 2.0, a.shape[0])
+        assert same_effective_family(a, d[:, None] * b / d[None, :]).equal is expected
