@@ -22,10 +22,10 @@ from .core import (
     IndexSet,
     _check_tol,
     _enumeration_cap,
+    _subset_slices,
     as_index_set,
     as_matrix,
     complement,
-    index_sets,
     submatrix,
 )
 from .spectral import EqualityVerdict, minors_equal
@@ -86,24 +86,31 @@ def rank1_factor(B, tol: float = CLAN_RANK_TOL) -> tuple[np.ndarray, np.ndarray]
     if not np.isfinite(block).all():
         raise ValueError("block entries must be finite")
     m, k = block.shape
-    top = float(np.abs(block).max(initial=0.0))
-    if top == 0.0:
+    if np.abs(block).max(initial=0.0) == 0.0:
         return np.zeros(m), np.zeros(k)
-    pivot_col = int(np.abs(block).max(axis=0).argmax())
-    pivot_row = int(np.abs(block[:, pivot_col]).argmax())
-    pivot = block[pivot_row, pivot_col]
-    u = block[:, pivot_col] / pivot
-    v = block[pivot_row, :].copy()
-    residual = block - np.outer(u, v)
-    worst = np.abs(residual)
-    if worst.max() > tol * top:
-        i, j = np.unravel_index(worst.argmax(), worst.shape)
-        minor = block[pivot_row, pivot_col] * block[i, j] \
-            - block[i, pivot_col] * block[pivot_row, j]
-        raise RankOneFactorError(rows=(pivot_row + 1, int(i) + 1),
-                                 cols=(pivot_col + 1, int(j) + 1),
+    u, v, (p, q), residual, fits = _rank1_fit(block, tol)
+    if not fits:
+        i, j = np.unravel_index(residual.argmax(), residual.shape)
+        minor = block[p, q] * block[i, j] - block[i, q] * block[p, j]
+        raise RankOneFactorError(rows=(int(p) + 1, int(i) + 1),
+                                 cols=(int(q) + 1, int(j) + 1),
                                  minor=float(minor))
     return u, v
+
+
+def _rank1_fit(blocks: np.ndarray, tol: float):
+    # Fit of each block of a stack (..., m, k): pivot at the first largest
+    # magnitude of the first column holding the block maximum; u, v, pivot,
+    # |B - u v^T| and whether that is within tol * |pivot|. Zero blocks fit.
+    col = np.abs(blocks).max(-2).argmax(-1)[..., None]
+    column = np.take_along_axis(blocks, col[..., None, :], -1)[..., 0]
+    row = np.abs(column).argmax(-1)[..., None]
+    pivot = np.take_along_axis(column, row, -1)
+    u = column / np.where(pivot == 0.0, 1.0, pivot)
+    v = np.take_along_axis(blocks, row[..., None], -2)[..., 0, :]
+    residual = np.abs(blocks - u[..., :, None] * v[..., None, :])
+    fits = residual.max((-2, -1)) <= tol * np.abs(pivot[..., 0])
+    return u, v, (row[..., 0], col[..., 0]), residual, fits
 
 
 @dataclass(frozen=True)
@@ -154,13 +161,17 @@ def clan_at(K, alpha, tol: float = CLAN_RANK_TOL) -> Clan | None:
 
 
 def _iter_clans(K, tol: float, max_n: int | None):
+    # One batched rank-1 test per slice; clan_at factors only the hits.
     k = as_matrix(K)
     n = k.shape[0]
     _enumeration_cap(n, max_n, CLAN_ENUMERATION_CAP, "clan enumeration")
-    for alpha in index_sets(n, min_size=2, max_size=n - 2):
-        clan = clan_at(k, alpha, tol=tol)
-        if clan is not None:
-            yield clan
+    _check_tol(tol)
+    for size in range(2, n - 1):
+        for alpha, rest in _subset_slices(n, size, 2 * size * (n - size)):
+            hits = _rank1_fit(k[alpha[:, :, None], rest[:, None, :]], tol)[-1] \
+                & _rank1_fit(k[rest[:, :, None], alpha[:, None, :]], tol)[-1]
+            for hit in (alpha[hits] + 1).tolist():
+                yield clan_at(k, hit, tol=tol)
 
 
 def find_clans(K, tol: float = CLAN_RANK_TOL, max_n: int | None = None) -> list[Clan]:

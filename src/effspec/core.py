@@ -41,6 +41,9 @@ MINOR_ENUMERATION_CAP = 20
 #: Default relative tolerance for eigenvalue agreement.
 EIGENVALUE_TOL = 1e-8
 
+# Bytes of stacked blocks per batched call, whatever the number of subsets.
+_SLICE_BYTES = 1 << 20
+
 IndexSet = tuple[int, ...]
 
 
@@ -167,18 +170,27 @@ class SubsetTable:
         return len(self.array)
 
 
-def _principal_blocks(m: np.ndarray, size: int) -> np.ndarray:
-    # Every principal block of one size, stacked in lex order of index sets.
-    idx = np.array(list(itertools.combinations(range(m.shape[0]), size)), dtype=np.intp)
-    return m[idx[:, :, None], idx[:, None, :]]
+def _subset_slices(n: int, size: int, cells: int):
+    # Every subset of range(n) of one size, in lex order, with its complement:
+    # (count, size) and (count, n - size) index arrays, sliced so the stacked
+    # blocks of ``cells`` float64 values per subset fit in _SLICE_BYTES.
+    per = max(1, _SLICE_BYTES // (8 * max(1, cells)))
+    combos = itertools.combinations(range(n), size)
+    while batch := list(itertools.islice(combos, per)):
+        chosen = np.array(batch, dtype=np.intp).reshape(len(batch), size)
+        free = np.ones((len(batch), n), dtype=bool)
+        free[np.arange(len(batch))[:, None], chosen] = False
+        rest = np.broadcast_to(np.arange(n), free.shape)[free]
+        yield chosen, rest.reshape(len(batch), n - size)
 
 
 def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
     # Values in index_sets order: singletons off the diagonal, one batched call
-    # per larger size. Singular blocks and overflows are answers, not warnings.
+    # per slice of larger sizes. Singular blocks and overflows are answers.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.concatenate([m.diagonal()] + [batch(_principal_blocks(m, size))
-                                                for size in range(2, m.shape[0] + 1)])
+        return np.concatenate([m.diagonal()] + [
+            batch(m[chosen[:, :, None], chosen[:, None, :]]) for size in range(2, len(m) + 1)
+            for chosen, _ in _subset_slices(len(m), size, size * size)])
 
 
 def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:

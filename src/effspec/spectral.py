@@ -27,7 +27,7 @@ from .core import (
     SubsetTable,
     _check_tol,
     _enumeration_cap,
-    _principal_blocks,
+    _subset_slices,
     _subset_sweep,
     all_principal_minors,
     as_matrix,
@@ -243,20 +243,23 @@ def budget_minimize(K, budget: int, tol: float = 1e-9,
     if not 0 <= budget <= n:
         raise ValueError(f"budget must be between 0 and {n}, got {budget}")
     _check_tol(tol)
-    # Complementing reverses lex order within a size: reversed supports match.
-    radii = _radii(_principal_blocks(k, n - budget))[::-1].tolist()
-    best = min(radii)
-    ties = [zeroed for zeroed, radius in zip(index_sets(n, budget, budget), radii)
-            if radius - best <= tol * max(1.0, abs(best))]
-    return best, ties
+    best, near = float("inf"), []  # best only falls: no dropped profile could tie
+    for zeroed, support in _subset_slices(n, budget, (n - budget) ** 2):
+        radii = _radii(k[support[:, :, None], support[:, None, :]])
+        best = min(best, float(radii.min()))
+        keep = radii - best <= tol * max(1.0, best)
+        near += zip(radii[keep].tolist(), map(tuple, (zeroed[keep] + 1).tolist()))
+    return best, [zeroed for radius, zeroed in near if radius - best <= tol * max(1.0, best)]
 
 
 def spectrum_mismatch(values_a, values_b) -> float:
     """Largest matched distance of a greedy minimum-distance pairing.
 
     Eigenvalue order is not canonical, so multisets are compared by
-    repeatedly pairing the two closest unmatched values. Returns infinity
-    for multisets of different sizes.
+    repeatedly pairing the two closest unmatched values. The value never
+    falls below the optimal bottleneck distance but can exceed it: [0, 1.1]
+    against [1.0, 2.2] gives 2.2, not 1.1. Returns infinity for multisets
+    of different sizes.
     """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
@@ -283,7 +286,10 @@ def spectrum_mismatch(values_a, values_b) -> float:
 
 
 def multisets_match(values_a, values_b, tol: float = EIGENVALUE_TOL) -> bool:
-    """Whether two complex multisets agree within ``tol`` relative to scale."""
+    """Whether two complex multisets agree within ``tol`` relative to scale.
+
+    True is always right; False can be wrong, see :func:`spectrum_mismatch`.
+    """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
     scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))

@@ -5,8 +5,10 @@ characteristic polynomials come from summed principal minors instead of
 the trace recursion, irreducibility goes through reachability closure
 instead of component search, clan detection through explicit 2x2 minors
 instead of elimination, maximal irreducible sets through exhaustive
-subset enumeration, and subset tables and the budget search through one
-LU or eigenvalue call per subset instead of one batched call per size.
+subset enumeration, subset tables and the budget search through one LU or
+eigenvalue call per subset instead of one batched call per slice of
+subsets, and rank-1 fits and the clan scan through one pivot search per
+block instead of one batched fit per slice.
 """
 
 import itertools
@@ -14,6 +16,8 @@ import itertools
 import numpy as np
 
 from effspec import (
+    Clan,
+    RankOneFactorError,
     all_principal_minors,
     complement,
     index_sets,
@@ -138,6 +142,63 @@ def brute_force_clan_subsets(K, tol=1e-9):
                 and rank_le_one_by_minors(submatrix(K, rest, alpha), tol):
             found.append(alpha)
     return found
+
+
+def rank1_fit_by_pivot(B, tol=1e-9):
+    """Canonical rank-1 factors (u, v) of one block, or RankOneFactorError.
+
+    The pivot is the first largest magnitude in the first column holding
+    the block's largest magnitude; u is that column over the pivot and v
+    the pivot row. A zero block gives zero vectors. The error names the
+    pivot and the worst residual entry, with their 2x2 minor.
+    """
+    block = np.asarray(B, dtype=float)
+    m, k = block.shape
+    top = float(np.abs(block).max(initial=0.0))
+    if top == 0.0:
+        return np.zeros(m), np.zeros(k)
+    pivot_col = int(np.abs(block).max(axis=0).argmax())
+    pivot_row = int(np.abs(block[:, pivot_col]).argmax())
+    pivot = block[pivot_row, pivot_col]
+    u = block[:, pivot_col] / pivot
+    v = block[pivot_row, :].copy()
+    worst = np.abs(block - np.outer(u, v))
+    if worst.max() > tol * top:
+        i, j = np.unravel_index(worst.argmax(), worst.shape)
+        minor = block[pivot_row, pivot_col] * block[i, j] \
+            - block[i, pivot_col] * block[pivot_row, j]
+        raise RankOneFactorError(rows=(pivot_row + 1, int(i) + 1),
+                                 cols=(pivot_col + 1, int(j) + 1),
+                                 minor=float(minor))
+    return u, v
+
+
+def clan_scan_by_subset(K, tol=1e-9):
+    """Clans of K in index_sets order, both off-diagonal blocks of every
+    subset fitted one at a time by rank1_fit_by_pivot."""
+    k = np.asarray(K, dtype=float)
+    n = k.shape[0]
+    found = []
+    for alpha in index_sets(n, min_size=2, max_size=n - 2):
+        rest = complement(alpha, n)
+        try:
+            v, b = rank1_fit_by_pivot(submatrix(k, alpha, rest), tol)
+            c, w = rank1_fit_by_pivot(submatrix(k, rest, alpha), tol)
+        except RankOneFactorError:
+            continue
+        found.append(Clan(alpha=alpha, v=v, b=b, c=c, w=w))
+    return found
+
+
+def bottleneck_by_permutation(values_a, values_b):
+    """Smallest largest distance over every pairing of two equal-size
+    multisets, by trying all permutations (sizes up to about 7)."""
+    a = np.atleast_1d(np.asarray(values_a, dtype=complex))
+    b = np.atleast_1d(np.asarray(values_b, dtype=complex))
+    dist = np.abs(a[:, None] - b[None, :])
+    rows = np.arange(a.size)
+    return min(float(dist[rows, list(perm)].max(initial=0.0))
+               for perm in itertools.permutations(range(b.size)))
 
 
 def reachability(K, pattern_tol=0.0):

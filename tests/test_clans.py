@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effspec import (
     Clan,
@@ -63,12 +65,16 @@ class TestRankOneFactor:
 class TestFindClans:
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tolerance_rejected(self, tol):
-        # Unchecked, NaN passes every rank test and makes every subset a clan.
-        matrix = np.random.default_rng(67).uniform(0.1, 1.1, (4, 4))
-        with pytest.raises(ValueError, match="tolerance"):
-            rank1_factor(matrix, tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            find_clans(matrix, tol=tol)
+        # Unchecked, NaN passes every rank test and makes every subset a clan;
+        # matrices of size up to 3 have no subset to test, but still refuse.
+        for n in (1, 3, 4):
+            matrix = np.random.default_rng(67).uniform(0.1, 1.1, (n, n))
+            with pytest.raises(ValueError, match="tolerance"):
+                rank1_factor(matrix, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                find_clans(matrix, tol=tol)
+            with pytest.raises(ValueError, match="tolerance"):
+                is_clan_free(matrix, tol=tol)
 
     def test_small_matrices_are_clan_free(self):
         rng = np.random.default_rng(62)
@@ -305,3 +311,71 @@ class TestClassification:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             classify_minor_equal_pair([[0, -1], [1, 0]], [[0, -1], [1, 0]])
+
+
+@st.composite
+def clan_input(draw):
+    """A matrix with a planted clan or a generic, clan-free one (n = 4..8),
+    with a seeded generator for the transforms."""
+    n = draw(st.integers(4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    if draw(st.booleans()):
+        return random_clan_instance(rng, n)[0], rng
+    return rng.uniform(-1.0, 1.0, (n, n)), rng
+
+
+def clan_subsets(matrix):
+    return [clan.alpha for clan in find_clans(matrix)]
+
+
+class TestClanInvariance:
+    """Simultaneous permutation relabels the clans; transposition, positive
+    rescaling and diagonal similarity keep every off-diagonal block's rank,
+    hence the clans themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clan_input(), st.floats(-6.0, 6.0))
+    def test_symmetries_keep_the_clans(self, case, exponent):
+        matrix, rng = case
+        n = matrix.shape[0]
+        clans = clan_subsets(matrix)
+        p = rng.permutation(n)
+        position = np.argsort(p) + 1  # index a of K is index position[a - 1] of P K P^T
+        relabelled = sorted((tuple(sorted(int(position[a - 1]) for a in alpha))
+                             for alpha in clans), key=lambda alpha: (len(alpha), alpha))
+        assert clan_subsets(matrix[np.ix_(p, p)]) == relabelled
+        assert clan_subsets(matrix.T) == clans
+        assert clan_subsets(10.0 ** exponent * matrix) == clans
+        d = rng.uniform(0.5, 2.0, n)
+        assert clan_subsets(d[:, None] * matrix / d[None, :]) == clans
+
+
+@st.composite
+def minor_equal_pair(draw):
+    """A nonnegative pair with equal principal minors by construction:
+    diagonal similarity, transposition, a symmetric matrix and its diagonal
+    similar, or a partial transpose on a planted clan."""
+    n = draw(st.integers(4, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    construction = draw(st.sampled_from(["similarity", "transpose", "symmetric", "clan"]))
+    if construction == "clan":
+        matrix, alpha, *_ = random_clan_instance(rng, n, low=0.1, high=1.1)
+        return matrix, partial_transpose(matrix, clan_at(matrix, alpha)), rng
+    matrix = rng.uniform(0.1, 1.1, (n, n))
+    if construction == "transpose":
+        return matrix, matrix.T.copy(), rng
+    if construction == "symmetric":
+        matrix = matrix + matrix.T
+    d = rng.uniform(0.5, 2.0, n)
+    return matrix, d[:, None] * matrix / d[None, :], rng
+
+
+class TestClassificationInvariance:
+    @settings(max_examples=40, deadline=None)
+    @given(minor_equal_pair())
+    def test_simultaneous_permutation_keeps_the_kind(self, case):
+        matrix, other, rng = case
+        p = rng.permutation(matrix.shape[0])
+        kind = classify_minor_equal_pair(matrix, other).kind
+        permuted = classify_minor_equal_pair(matrix[np.ix_(p, p)], other[np.ix_(p, p)])
+        assert permuted.kind == kind

@@ -24,7 +24,7 @@ from effspec import (
     submatrix,
 )
 from effspec import spectral
-from support import random_nonnegative
+from support import bottleneck_by_permutation, random_nonnegative
 
 
 class TestEtaValidation:
@@ -366,6 +366,19 @@ class TestMultisetMatching:
     def test_tolerance_scale(self):
         assert multisets_match([100.0], [100.0 + 5e-7], tol=1e-8)
         assert not multisets_match([1.0], [1.0 + 5e-7], tol=1e-8)
+
+    def test_greedy_pairing_can_miss_the_optimal_bottleneck(self):
+        # Greedy pairs 1.1 with 1.0 first and is left with |0 - 2.2|.
+        assert spectrum_mismatch([0.0, 1.1], [1.0, 2.2]) == 2.2
+        assert bottleneck_by_permutation([0.0, 1.1], [1.0, 2.2]) == pytest.approx(1.1)
+        assert not multisets_match([0.0, 1.1], [1.0, 2.2], tol=0.6)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2 ** 31 - 1), st.booleans())
+    def test_never_below_the_optimal_bottleneck(self, size, seed, real):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, size)) + (0 if real else 1j * rng.normal(size=(2, size)))
+        assert spectrum_mismatch(a, b) >= bottleneck_by_permutation(a, b)
 
 
 class TestEquivalenceChains:

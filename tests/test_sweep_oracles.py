@@ -1,19 +1,34 @@
 """Batched subset sweeps against the per-subset oracles of support.py.
 
-The minor table, the boolean radius table and the budget search each make
-one batched numpy call per subset size. The oracles make one LU or
-eigenvalue call per subset; both run the same LAPACK routine on the same
-block, so the results must agree bit for bit, not just within a tolerance.
+The minor table, the boolean radius table, the budget search and the clan
+scan each make one batched numpy call per slice of subsets of one size.
+The oracles make one LU, eigenvalue or rank-1 fit call per subset; both
+run the same arithmetic on the same block, so the results must agree bit
+for bit, not just within a tolerance. So must the results of a sweep cut
+into slices of one subset each.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
-from effspec import all_principal_minors, boolean_radius_table, budget_minimize
+from effspec import (
+    RankOneFactorError,
+    all_principal_minors,
+    boolean_radius_table,
+    budget_minimize,
+    find_clans,
+    rank1_factor,
+)
+from effspec import core
 from support import (
     budget_search_by_profile,
+    clan_scan_by_subset,
     minor_table_by_lu,
     radius_table_by_subset,
+    random_clan_instance,
+    rank1_fit_by_pivot,
 )
 
 
@@ -59,3 +74,106 @@ def test_budget_search_matches_per_profile_oracle(kind, n):
     matrix = np.abs(make(kind, n))
     for budget in range(n + 1):
         assert budget_minimize(matrix, budget) == budget_search_by_profile(matrix, budget)
+
+
+def planted_clan(rng, n):
+    return random_clan_instance(rng, n)[0]
+
+
+def small_integers(rng, *shape):
+    return rng.choice([-1.0, 0.0, 0.0, 1.0, 2.0], shape)
+
+
+def zeroed_planted_clan(rng, n):
+    # Planted rank-1 blocks of small integers with zeros: the scanned blocks
+    # have zero rows and columns, tied pivots and are sometimes all zero.
+    m = int(rng.integers(2, n - 1))
+    return np.block([
+        [small_integers(rng, m, m),
+         np.outer(small_integers(rng, m), small_integers(rng, n - m))],
+        [np.outer(small_integers(rng, n - m), small_integers(rng, m)),
+         small_integers(rng, n - m, n - m)]])
+
+
+CLAN_KINDS = [positive, zero_diagonal, sparse_signed, planted_clan, zeroed_planted_clan]
+CLAN_CASES = [(kind, n) for kind in CLAN_KINDS for n in range(4, 10)]
+
+
+def same_clans(ours, theirs):
+    return [clan.alpha for clan in ours] == [clan.alpha for clan in theirs] and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for a, b in zip(ours, theirs) for name in "vbcw")
+
+
+@pytest.mark.parametrize("kind, n", CLAN_CASES,
+                         ids=[f"{kind.__name__}-n{n}" for kind, n in CLAN_CASES])
+def test_clan_scan_matches_per_subset_oracle(kind, n):
+    matrix = kind(np.random.default_rng([n, CLAN_KINDS.index(kind), 1]), n)
+    assert same_clans(find_clans(matrix), clan_scan_by_subset(matrix))
+
+
+def fit_outcome(fit, block, tol):
+    try:
+        return ("factors",) + tuple(fit(block, tol))
+    except RankOneFactorError as err:
+        return "error", err.rows, err.cols, err.minor
+
+
+def block_shapes(rng, count=40):
+    return [tuple(rng.integers(1, 6, 2)) for _ in range(count)]
+
+
+def zero_blocks(rng):
+    return [np.zeros(shape) for shape in block_shapes(rng)] + [np.zeros((0, 3)),
+                                                              np.full((2, 2), -0.0)]
+
+
+def tied_blocks(rng):
+    return [small_integers(rng, *shape) for shape in block_shapes(rng)]
+
+
+def outer_products(rng):
+    return [np.outer(rng.uniform(-1, 1, m), rng.uniform(-1, 1, k))
+            for m, k in block_shapes(rng)]
+
+
+def rank_two_blocks(rng):
+    return [np.outer(rng.uniform(-1, 1, m), rng.uniform(-1, 1, k))
+            + np.outer(rng.uniform(-1, 1, m), rng.uniform(-1, 1, k))
+            for m, k in block_shapes(rng)]
+
+
+@pytest.mark.parametrize("blocks", [zero_blocks, tied_blocks, outer_products, rank_two_blocks])
+@pytest.mark.parametrize("tol", [1e-9, 0.5])
+def test_rank1_factor_matches_pivot_oracle(blocks, tol):
+    for block in blocks(np.random.default_rng(71)):
+        ours = fit_outcome(rank1_factor, block, tol)
+        theirs = fit_outcome(rank1_fit_by_pivot, block, tol)
+        assert ours[0] == theirs[0]
+        assert all(np.array_equal(a, b) for a, b in zip(ours[1:], theirs[1:]))
+
+
+@pytest.mark.parametrize("kind", [positive, sparse_signed, planted_clan, zeroed_planted_clan])
+def test_one_subset_per_slice_changes_nothing(kind, monkeypatch):
+    n = 7
+    # abs keeps a planted outer product rank 1; the budget search needs it.
+    matrix = np.abs(kind(np.random.default_rng(72), n))
+
+    # A wide tolerance makes near-ties, which the budget search must keep
+    # across slices while its best radius so far falls.
+    searches = [(budget, tol) for budget in range(n + 1) for tol in (1e-9, 0.3)]
+
+    def results():
+        return (all_principal_minors(matrix).array, boolean_radius_table(matrix).array,
+                [budget_minimize(matrix, *search) for search in searches],
+                find_clans(matrix))
+
+    minors, radii, budgets, clans = results()
+    assert budgets == [budget_search_by_profile(matrix, *search) for search in searches]
+    monkeypatch.setattr(core, "_SLICE_BYTES", 1)
+    assert [len(chosen) for chosen, _ in core._subset_slices(n, 3, 9)] == [1] * comb(n, 3)
+    sliced_minors, sliced_radii, sliced_budgets, sliced_clans = results()
+    assert np.array_equal(sliced_minors, minors)
+    assert np.array_equal(sliced_radii, radii)
+    assert sliced_budgets == budgets
+    assert same_clans(sliced_clans, clans)
