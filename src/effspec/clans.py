@@ -21,6 +21,7 @@ import numpy as np
 from .core import (
     IndexSet,
     _check_tol,
+    _complements,
     _enumeration_cap,
     _subset_slices,
     as_index_set,
@@ -167,7 +168,8 @@ def _iter_clans(K, tol: float, max_n: int | None):
     _enumeration_cap(n, max_n, CLAN_ENUMERATION_CAP, "clan enumeration")
     _check_tol(tol)
     for size in range(2, n - 1):
-        for alpha, rest in _subset_slices(n, size, 2 * size * (n - size)):
+        for alpha in _subset_slices(n, size, 2 * size * (n - size)):
+            rest = _complements(alpha, n)
             hits = _rank1_fit(k[alpha[:, :, None], rest[:, None, :]], tol)[-1] \
                 & _rank1_fit(k[rest[:, :, None], alpha[:, None, :]], tol)[-1]
             for hit in (alpha[hits] + 1).tolist():

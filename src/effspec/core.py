@@ -10,6 +10,7 @@ to call concurrently.
 """
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +47,8 @@ _SLICE_BYTES = 1 << 20
 
 IndexSet = tuple[int, ...]
 
+_log = logging.getLogger("effspec")  # debug records only; no handler, silent by default
+
 
 class EnumerationCapError(ValueError):
     """Refusal to enumerate subsets of a matrix that is too large."""
@@ -63,6 +66,7 @@ def _enumeration_cap(n: int, max_n: int | None, default: int = MINOR_ENUMERATION
     # truncated. Returns the cap in force.
     cap = default if max_n is None else max_n
     if n > cap:
+        _log.debug("%s refused for n=%d: the cap is n <= %d", what, n, cap)
         raise EnumerationCapError(n, cap, what)
     return cap
 
@@ -164,24 +168,29 @@ class SubsetTable:
         return MappingProxyType(dict(zip(index_sets(self.n), self.array.tolist())))
 
     def __getitem__(self, alpha) -> float:
-        return self.values[as_index_set(alpha, self.n)]
+        # Smaller sizes first, then the lex rank C(n, k) - 1 - sum C(n - a_i, k + 1 - i).
+        a = as_index_set(alpha, self.n)
+        return float(self.array[sum(math.comb(self.n, j) for j in range(1, len(a) + 1)) - 1
+                                - sum(math.comb(self.n - i, len(a) - r) for r, i in enumerate(a))])
 
     def __len__(self) -> int:
         return len(self.array)
 
 
 def _subset_slices(n: int, size: int, cells: int):
-    # Every subset of range(n) of one size, in lex order, with its complement:
-    # (count, size) and (count, n - size) index arrays, sliced so the stacked
-    # blocks of ``cells`` float64 values per subset fit in _SLICE_BYTES.
+    # Every subset of range(n) of one size, in lex order, as (count, size) index
+    # arrays, sliced so the stacked blocks (``cells`` float64s a subset) fit _SLICE_BYTES.
     per = max(1, _SLICE_BYTES // (8 * max(1, cells)))
     combos = itertools.combinations(range(n), size)
     while batch := list(itertools.islice(combos, per)):
-        chosen = np.array(batch, dtype=np.intp).reshape(len(batch), size)
-        free = np.ones((len(batch), n), dtype=bool)
-        free[np.arange(len(batch))[:, None], chosen] = False
-        rest = np.broadcast_to(np.arange(n), free.shape)[free]
-        yield chosen, rest.reshape(len(batch), n - size)
+        yield np.array(batch, dtype=np.intp).reshape(len(batch), size)
+
+
+def _complements(chosen: np.ndarray, n: int) -> np.ndarray:
+    # The complement in range(n) of each row of ``chosen``, in increasing order.
+    free = np.ones((len(chosen), n), dtype=bool)
+    np.put_along_axis(free, chosen, False, axis=1)
+    return np.nonzero(free)[1].reshape(len(chosen), -1)
 
 
 def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
@@ -190,7 +199,7 @@ def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.concatenate([m.diagonal()] + [
             batch(m[chosen[:, :, None], chosen[:, None, :]]) for size in range(2, len(m) + 1)
-            for chosen, _ in _subset_slices(len(m), size, size * size)])
+            for chosen in _subset_slices(len(m), size, size * size)])
 
 
 def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:

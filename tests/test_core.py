@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,13 @@ class TestPrincipalMinors:
             all_principal_minors(np.eye(5), max_n=4)
         assert len(all_principal_minors(np.eye(5), max_n=5)) == 31
 
+    def test_cap_refusal_is_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="effspec")
+        with pytest.raises(EnumerationCapError):
+            all_principal_minors(np.eye(5), max_n=4)
+        assert [record.getMessage() for record in caplog.records] == [
+            "principal-minor enumeration refused for n=5: the cap is n <= 4"]
+
 
 class TestSubsetTable:
     def table(self):
@@ -271,6 +280,27 @@ class TestSubsetTable:
         assert list(table.values) == list(index_sets(4))
         assert list(table.values.values()) == table.array.tolist()
         assert table[(2, 1)] == table.values[(1, 2)] == table.array[4]
+
+    def test_lookup_does_not_build_values(self):
+        # Value i sits at position i, so a lookup reads back its own rank.
+        table = SubsetTable(16, np.arange(2.0 ** 16 - 1))
+        assert table[(1, 2)] == 16.0
+        assert table[(15, 16)] == 16.0 + 119.0
+        assert table[tuple(range(1, 17))] == 2.0 ** 16 - 2
+        assert "values" not in vars(table)
+
+    def test_lookup_agrees_with_values(self):
+        for n in range(1, 8):
+            table = SubsetTable(n, np.random.default_rng(n).uniform(-1, 1, 2 ** n - 1))
+            for alpha, value in table.values.items():
+                assert table[alpha] == value
+                assert table[alpha[::-1]] == value
+
+    @pytest.mark.parametrize("alpha, message", [((), "non-empty"), ((0, 1), "out of range"),
+                                                ((2, 5), "out of range")])
+    def test_bad_subsets_rejected(self, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            self.table()[alpha]
 
     def test_constructor_copies_its_input(self):
         source = np.array([1.0, 2.0, 3.0])

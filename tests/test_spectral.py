@@ -1,6 +1,12 @@
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effspec import (
@@ -23,8 +29,9 @@ from effspec import (
     spectrum_mismatch,
     submatrix,
 )
+import effspec
 from effspec import spectral
-from support import bottleneck_by_permutation, random_nonnegative
+from support import bottleneck_by_permutation, budget_search_by_profile, random_nonnegative
 
 
 class TestEtaValidation:
@@ -330,6 +337,71 @@ class TestBudgetMinimize:
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             budget_minimize(TWO_SWAPS, 1, tol=tol)
+
+
+@st.composite
+def separated_budget_case(draw):
+    """A nonnegative K and a budget whose optimal profile is unique: every
+    other radius exceeds the best by more than 1e-6 * max(1, best)."""
+    n = draw(st.integers(3, 7))
+    budget = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = rng.uniform(0.1, 1.1, (n, n))
+    if draw(st.booleans()):
+        np.fill_diagonal(matrix, 0.0)
+    best, ties = budget_search_by_profile(matrix, budget, tol=1e-6)
+    assume(best > 0 and len(ties) == 1)
+    return matrix, budget, ties[0], rng
+
+
+class TestBudgetInvariance:
+    """The optimal profile follows a relabelling of the groups and does not
+    move under transposition or rescaling."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(separated_budget_case(), st.integers(-20, 20))
+    def test_symmetries_keep_the_optimum(self, case, e):
+        matrix, budget, zeroed, rng = case
+        best, ties = budget_minimize(matrix, budget)
+        assert ties == [zeroed]
+        p = rng.permutation(len(matrix))
+        # Index i of the permuted matrix is index p[i] of the original.
+        relabelled = tuple(i + 1 for i in range(len(p)) if p[i] + 1 in zeroed)
+        assert budget_minimize(matrix[np.ix_(p, p)], budget)[1] == [relabelled]
+        assert budget_minimize(matrix.T, budget)[1] == [zeroed]
+        # The tie window tol * max(1, best) is absolute below 1, so the
+        # rescaled search keeps exact ties only.
+        scaled_best, scaled_ties = budget_minimize(2.0 ** e * matrix, budget, tol=0.0)
+        assert scaled_ties == [zeroed]
+        assert scaled_best == pytest.approx(best * 2.0 ** e, rel=1e-12)
+
+
+class TestBudgetSearchLog:
+    def counts(self, caplog, matrix, budget):
+        caplog.set_level(logging.DEBUG, logger="effspec")
+        budget_minimize(matrix, budget)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("budget search")]
+        return record.args
+
+    def test_positive_matrix_skips_most_profiles(self, caplog):
+        matrix = np.random.default_rng(91).uniform(0.1, 1.1, (12, 12))
+        evaluated, profiles = self.counts(caplog, matrix, 3)
+        assert profiles == 220
+        assert 1 <= evaluated < 0.1 * profiles
+
+    def test_all_tie_matrix_evaluates_every_profile(self, caplog):
+        assert self.counts(caplog, np.ones((6, 6)) - np.eye(6), 2) == (15, 15)
+
+    def test_silent_by_default(self):
+        code = ("import numpy as np, effspec\n"
+                "effspec.budget_minimize(np.full((12, 12), 0.5), 3)\n"
+                "try:\n    effspec.budget_minimize(np.eye(21), 1)\n"
+                "except effspec.EnumerationCapError:\n    pass\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(effspec.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert logging.getLogger("effspec").handlers == []
 
 
 class TestScalingIdentities:

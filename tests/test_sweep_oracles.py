@@ -5,7 +5,9 @@ scan each make one batched numpy call per slice of subsets of one size.
 The oracles make one LU, eigenvalue or rank-1 fit call per subset; both
 run the same arithmetic on the same block, so the results must agree bit
 for bit, not just within a tolerance. So must the results of a sweep cut
-into slices of one subset each.
+into slices of one subset each, and those of the budget search, which
+computes eigenvalues only where its radius lower bound cannot rule a
+profile out, on inputs built to defeat that bound.
 """
 
 from math import comb
@@ -171,9 +173,74 @@ def test_one_subset_per_slice_changes_nothing(kind, monkeypatch):
     minors, radii, budgets, clans = results()
     assert budgets == [budget_search_by_profile(matrix, *search) for search in searches]
     monkeypatch.setattr(core, "_SLICE_BYTES", 1)
-    assert [len(chosen) for chosen, _ in core._subset_slices(n, 3, 9)] == [1] * comb(n, 3)
+    assert [len(chosen) for chosen in core._subset_slices(n, 3, 9)] == [1] * comb(n, 3)
     sliced_minors, sliced_radii, sliced_budgets, sliced_clans = results()
     assert np.array_equal(sliced_minors, minors)
     assert np.array_equal(sliced_radii, radii)
     assert sliced_budgets == budgets
     assert same_clans(sliced_clans, clans)
+
+
+def all_ties(rng, n):
+    # J - I: every profile of one budget has the same block, so nothing may
+    # be pruned and every profile is a tie.
+    return np.ones((n, n)) - np.eye(n)
+
+
+def permuted(rng, m):
+    p = rng.permutation(len(m))
+    return m[np.ix_(p, p)]
+
+
+def permuted_triangular(rng, n):
+    # Nilpotent: best 0, and the supports keep zero rows.
+    return permuted(rng, np.triu(rng.uniform(0.1, 1.1, (n, n)), 1))
+
+
+def permuted_block_triangular(rng, n):
+    m = np.triu(rng.uniform(0.1, 1.1, (n, n)))
+    m[np.tril_indices(n, -1)] = 0.0
+    m[1, 0] = m[3, 2] = m[5, 4] = 0.7  # irreducible 2x2 diagonal blocks
+    return permuted(rng, m)
+
+
+def equal_blocks(rng, n):
+    # Zeroing one index from either copy of a block gives the same radius.
+    block = rng.uniform(0.1, 1.1, (n // 2, n // 2))
+    return np.kron(np.eye(2), block)
+
+
+def optimum_last(rng, n):
+    # The heaviest indices come last: the first profiles keep them, so the
+    # running best starts poor and the optimum sits in the last slice.
+    return rng.uniform(0.1, 0.2, (n, n)) * np.geomspace(1.0, 50.0, n)
+
+
+def huge(rng, n):
+    return rng.uniform(0.1, 1.1, (n, n)) * 1e300
+
+
+def overflowing(rng, n):
+    # Row sums pass the largest float: the bound overflows and proves nothing.
+    return rng.uniform(0.1, 1.1, (n, n)) * 5e307
+
+
+def subnormal(rng, n):
+    # A fixed draw on which ratios of subnormal sums, if trusted, would bound
+    # one radius from above at budget 4.
+    return np.random.default_rng(6).uniform(0.1, 1.1, (n, n)) * 1e-319
+
+
+ADVERSARIAL = [all_ties, permuted_triangular, permuted_block_triangular, equal_blocks,
+               optimum_last, huge, overflowing, subnormal]
+
+
+@pytest.mark.parametrize("kind", ADVERSARIAL)
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 0.3])
+def test_pruned_budget_search_matches_per_profile_oracle(kind, tol, monkeypatch):
+    n = 6
+    matrix = kind(np.random.default_rng(73), n)
+    expected = [budget_search_by_profile(matrix, budget, tol) for budget in range(n + 1)]
+    assert [budget_minimize(matrix, budget, tol) for budget in range(n + 1)] == expected
+    monkeypatch.setattr(core, "_SLICE_BYTES", 1)
+    assert [budget_minimize(matrix, budget, tol) for budget in range(n + 1)] == expected
