@@ -23,6 +23,7 @@ from .core import (
     _check_tol,
     _complements,
     _enumeration_cap,
+    _matrix_pair,
     _subset_slices,
     as_index_set,
     as_matrix,
@@ -233,10 +234,7 @@ def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9,
     equality of every submatrix pair is equivalent to the equality of the
     two principal-minor tables, which is what gets compared.
     """
-    a = as_matrix(K)
-    b = as_matrix(K2)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _matrix_pair(K, K2)
     cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP,
                            "submatrix-spectra verification")
     return minors_equal(a, b, tol=tol, max_n=cap)
@@ -273,12 +271,9 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9,
     claimed relation that fails its numerical verification, comes back
     unresolved.
     """
-    a = as_matrix(K)
-    b = as_matrix(K2)
+    a, b = _matrix_pair(K, K2)
     if (a < 0).any() or (b < 0).any():
         raise ValueError("classification applies to nonnegative matrices only")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP, "pair classification")
     verdict = minors_equal(a, b, tol=tol, max_n=cap)
     if not verdict.equal:

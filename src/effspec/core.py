@@ -79,6 +79,14 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
+def _matrix_pair(K, K2) -> tuple[np.ndarray, np.ndarray]:
+    # Both operands of a pairwise check, validated and of one shape.
+    a, b = as_matrix(K), as_matrix(K2)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def as_matrix(entries) -> np.ndarray:
     """Validate and return a square matrix of finite floats.
 

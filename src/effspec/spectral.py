@@ -30,6 +30,7 @@ from .core import (
     _complements,
     _enumeration_cap,
     _log,
+    _matrix_pair,
     _subset_slices,
     _subset_sweep,
     all_principal_minors,
@@ -183,10 +184,7 @@ def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> Equality
     any sign pattern.
     """
     _check_tol(tol)  # before the tables, which can take seconds to build
-    a = as_matrix(K)
-    b = as_matrix(K2)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _matrix_pair(K, K2)
     return _compare_tables("principal-minors", all_principal_minors(a, max_n=max_n),
                            all_principal_minors(b, max_n=max_n), tol)
 
@@ -221,10 +219,7 @@ def signed_equality_check(K, K2, tol: float = 1e-9,
     minors proves nothing in that regime, so no claim is made either way.
     """
     _check_tol(tol)
-    a = as_matrix(K)
-    b = as_matrix(K2)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    a, b = _matrix_pair(K, K2)
     method = "signed-principal-minors"
     signs_a = np.sign(a.diagonal())
     signs_b = np.sign(b.diagonal())

@@ -3,7 +3,9 @@
 The adjacency digraph of K has an edge (i, j) whenever K_ij is nonzero
 (above the pattern tolerance). K is irreducible when that digraph is
 strongly connected; the maximal irreducible index sets, called atoms here,
-are its strongly connected components. Keeping only the entries whose
+are the classes of mutual reachability: i and j share an atom when
+directed paths join i to j and j to i. One boolean reachability closure
+answers every structural question. Keeping only the entries whose
 endpoints share an atom gives the atomic part of K, which preserves the
 effective spectrum. The module also searches for diagonal-similarity
 witnesses, the scaling transformations that preserve effective spectra.
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexSet, as_matrix
+from .core import IndexSet, _check_tol, _matrix_pair, as_matrix
 
 __all__ = [
     "Digraph",
@@ -67,78 +69,42 @@ def pattern_tolerance(K, pattern_tol: float | None = None) -> float:
 
     Defaults to ``PATTERN_TOL_REL`` times the largest entry magnitude so
     that pattern decisions stay stable for computed (rounded) input. Pass 0
-    to treat only exact zeros as absent entries.
+    to treat only exact zeros as absent entries. An explicit tolerance must
+    be finite and nonnegative.
     """
     if pattern_tol is not None:
-        if pattern_tol < 0:
-            raise ValueError("pattern tolerance must be nonnegative")
-        return float(pattern_tol)
+        return float(_check_tol(pattern_tol))
     k = np.asarray(K, dtype=float)
     return PATTERN_TOL_REL * float(np.abs(k).max(initial=0.0))
 
 
+def _pattern(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    # The validated matrix and its zero pattern: True where |K_ij| exceeds the tolerance.
+    k = as_matrix(K)
+    return k, np.abs(k) > pattern_tolerance(k, pattern_tol)
+
+
+def _closure(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The matrix, its pattern, and reachability: reach[i, j] when a directed path
+    # (possibly empty) joins i to j. Each squaring of I | pattern doubles the
+    # path length covered; the float product counts paths through a midpoint,
+    # at most n, so ``> 0`` is exact.
+    k, pattern = _pattern(K, pattern_tol)
+    reach = pattern | np.eye(len(k), dtype=bool)
+    while True:
+        step = reach.astype(float)
+        grown = step @ step > 0
+        if np.array_equal(grown, reach):
+            return k, pattern, reach
+        reach = grown
+
+
 def adjacency_digraph(K, pattern_tol: float | None = None) -> Digraph:
     """Digraph with an edge (i, j) whenever |K_ij| exceeds the tolerance."""
-    k = as_matrix(K)
-    tol = pattern_tolerance(k, pattern_tol)
-    rows, cols = np.nonzero(np.abs(k) > tol)
+    k, pattern = _pattern(K, pattern_tol)
+    rows, cols = np.nonzero(pattern)
     edges = frozenset((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
     return Digraph(n=k.shape[0], edges=edges)
-
-
-def _successors(k: np.ndarray, tol: float) -> list[list[int]]:
-    mask = np.abs(k) > tol
-    return [[int(j) for j in np.nonzero(mask[i])[0]] for i in range(k.shape[0])]
-
-
-def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    # Iterative Tarjan; components come out in reverse topological order and
-    # are re-sorted by the caller.
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-    return components
 
 
 def is_irreducible(K, pattern_tol: float | None = None) -> bool:
@@ -148,18 +114,14 @@ def is_irreducible(K, pattern_tol: float | None = None) -> bool:
     block in each direction. 1x1 matrices are irreducible regardless of
     their entry (there is no proper split).
     """
-    k = as_matrix(K)
-    tol = pattern_tolerance(k, pattern_tol)
-    return len(_strongly_connected_components(_successors(k, tol))) == 1
+    return bool(_closure(K, pattern_tol)[2].all())
 
 
 def atoms(K, pattern_tol: float | None = None) -> Partition:
-    """Maximal irreducible index sets: the strongly connected components."""
-    k = as_matrix(K)
-    tol = pattern_tolerance(k, pattern_tol)
-    components = _strongly_connected_components(_successors(k, tol))
-    blocks = sorted((tuple(i + 1 for i in comp) for comp in components),
-                    key=lambda block: block[0])
+    """Maximal irreducible index sets: the classes of mutual reachability."""
+    k, _, reach = _closure(K, pattern_tol)
+    leader = (reach & reach.T).argmax(axis=1)  # smallest member of each index's atom
+    blocks = (tuple((np.flatnonzero(leader == i) + 1).tolist()) for i in np.unique(leader))
     return Partition(n=k.shape[0], blocks=tuple(blocks))
 
 
@@ -168,13 +130,8 @@ def atomic_part(K, pattern_tol: float | None = None) -> np.ndarray:
 
     Idempotent, and preserves the effective spectrum of K.
     """
-    k = as_matrix(K)
-    tol = pattern_tolerance(k, pattern_tol)
-    components = _strongly_connected_components(_successors(k, tol))
-    labels = np.empty(k.shape[0], dtype=int)
-    for tag, comp in enumerate(components):
-        labels[comp] = tag
-    return np.where(labels[:, None] == labels[None, :], k, 0.0)
+    k, _, reach = _closure(K, pattern_tol)
+    return np.where(reach & reach.T, k, 0.0)
 
 
 def is_completely_reducible(K, pattern_tol: float | None = None) -> bool:
@@ -183,9 +140,8 @@ def is_completely_reducible(K, pattern_tol: float | None = None) -> bool:
     Equivalently, whenever a directed path joins i to j there is also one
     from j back to i.
     """
-    k = as_matrix(K)
-    tol = pattern_tolerance(k, pattern_tol)
-    return bool((np.abs(k - atomic_part(k, tol)) <= tol).all())
+    _, pattern, reach = _closure(K, pattern_tol)
+    return not (pattern & ~reach.T).any()
 
 
 def diagonal_similarity_witness(K, K2, tol: float = 1e-9,
@@ -199,16 +155,10 @@ def diagonal_similarity_witness(K, K2, tol: float = 1e-9,
     orientation, then verifying all edges; absent when verification fails.
     For nonnegative matrices the returned scaling is automatically positive.
     """
-    a = as_matrix(K)
-    b = as_matrix(K2)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    _check_tol(tol)
+    a, b = _matrix_pair(K, K2)
     n = a.shape[0]
-    if pattern_tol is None:
-        scale = max(float(np.abs(a).max()), float(np.abs(b).max()))
-        ptol = PATTERN_TOL_REL * scale
-    else:
-        ptol = float(pattern_tol)
+    ptol = max(pattern_tolerance(a, pattern_tol), pattern_tolerance(b, pattern_tol))
     mask_a = np.abs(a) > ptol
     mask_b = np.abs(b) > ptol
     if (mask_a != mask_b).any():

@@ -2,8 +2,9 @@
 
 The oracles stay deliberately independent of the library paths they check:
 characteristic polynomials come from summed principal minors instead of
-the trace recursion, irreducibility goes through reachability closure
-instead of component search, clan detection through explicit 2x2 minors
+the trace recursion, irreducibility and atoms go through Warshall's
+closure, one intermediate index at a time, instead of repeated boolean
+squaring, clan detection through explicit 2x2 minors
 instead of elimination, maximal irreducible sets through exhaustive
 subset enumeration, subset tables and the budget search through one LU or
 eigenvalue call per subset instead of one batched call per slice of
@@ -219,6 +220,22 @@ def irreducible_by_closure(K, pattern_tol=0.0):
     closure = reachability(K, pattern_tol)
     off_diagonal = ~np.eye(n, dtype=bool)
     return bool(closure[off_diagonal].all())
+
+
+def atoms_by_reachability(K, pattern_tol=0.0):
+    """Atoms as mutual-reachability classes of Warshall's closure, each
+    grown from the smallest index not yet placed, so ordered by their
+    smallest member."""
+    n = np.asarray(K).shape[0]
+    closure = reachability(K, pattern_tol) | np.eye(n, dtype=bool)
+    blocks, placed = [], set()
+    for i in range(n):
+        if i in placed:
+            continue
+        block = tuple(j + 1 for j in range(n) if closure[i, j] and closure[j, i])
+        placed.update(j - 1 for j in block)
+        blocks.append(block)
+    return blocks
 
 
 def maximal_irreducible_sets(K, pattern_tol=0.0):

@@ -11,13 +11,18 @@ from effspec import (
     all_principal_minors,
     as_matrix,
     characteristic_polynomial,
+    classify_minor_equal_pair,
     determinant,
+    diagonal_similarity_witness,
     eigenvalues,
     index_sets,
+    minors_equal,
     multisets_match,
     principal_minor,
+    signed_equality_check,
     spectral_radius,
     submatrix,
+    verify_partial_transpose_invariance,
 )
 from support import characteristic_polynomial_by_minors
 
@@ -39,6 +44,14 @@ class TestValidation:
             as_matrix([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("check", [minors_equal, signed_equality_check,
+                                       verify_partial_transpose_invariance,
+                                       classify_minor_equal_pair, diagonal_similarity_witness])
+    def test_pairwise_checks_reject_a_dimension_mismatch(self, check):
+        # Shape comes first: a negative operand does not hide the mismatch.
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+            check(-np.eye(2), np.eye(3))
 
     def test_one_by_one_supported(self):
         m = as_matrix([[3.5]])

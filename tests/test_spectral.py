@@ -533,3 +533,47 @@ class TestVerdictInvariance:
         assert same_effective_family(a.T, b.T).equal is expected
         d = rng.uniform(0.5, 2.0, a.shape[0])
         assert same_effective_family(a, d[:, None] * b / d[None, :]).equal is expected
+
+
+@st.composite
+def signed_pair(draw):
+    """A signed pair (K, K2) with its expected signed_equality_check verdict.
+
+    Under the guard (nonzero diagonal, or one zero entry): minor-equal by a
+    mixed-sign diagonal similarity or a transpose (True), or one 2x2 minor
+    off by scaling an off-diagonal entry by 1.1 (False). Guard failing
+    (None): one diagonal sign flipped, or two zero diagonal entries.
+    """
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = rng.uniform(0.1, 1.1, (n, n)) * rng.choice([-1.0, 1.0], (n, n))
+    zeros = draw(st.integers(0, 2))
+    matrix[np.diag_indices(n)] *= np.arange(n) >= zeros
+    construction = draw(st.sampled_from(["similarity", "transpose", "perturbed", "sign-flip"]))
+    d = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    other = matrix.T.copy() if construction == "transpose" else d[:, None] * matrix / d[None, :]
+    if construction == "perturbed":
+        i, j = rng.choice(n, 2, replace=False)
+        other[i, j] *= 1.1
+    if construction == "sign-flip":
+        other[n - 1, n - 1] *= -1.0
+    if zeros > 1 or construction == "sign-flip":
+        return matrix, other, None, rng
+    return matrix, other, construction != "perturbed", rng
+
+
+class TestSignedVerdictInvariance:
+    """The verdict of signed_equality_check, inconclusive ones included,
+    must not change under the symmetries that preserve every principal
+    minor and every diagonal sign."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_pair())
+    def test_symmetries_keep_the_verdict(self, case):
+        a, b, expected, rng = case
+        assert signed_equality_check(a, b).equal is expected
+        p = rng.permutation(a.shape[0])
+        assert signed_equality_check(a[np.ix_(p, p)], b[np.ix_(p, p)]).equal is expected
+        assert signed_equality_check(a.T, b.T).equal is expected
+        d = rng.uniform(0.5, 2.0, a.shape[0]) * rng.choice([-1.0, 1.0], a.shape[0])
+        assert signed_equality_check(a, d[:, None] * b / d[None, :]).equal is expected

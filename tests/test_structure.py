@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effspec import (
     adjacency_digraph,
@@ -15,6 +17,7 @@ from effspec import (
     pattern_tolerance,
 )
 from support import (
+    atoms_by_reachability,
     irreducible_by_closure,
     maximal_irreducible_sets,
     random_nonnegative,
@@ -233,6 +236,20 @@ class TestDiagonalSimilarityWitness:
         assert witness.d[1] == pytest.approx(3.0, rel=1e-12)
         assert witness.d[3] == pytest.approx(7.0 / 5.0, rel=1e-12)
 
+    def test_default_pattern_tolerance_follows_the_larger_matrix(self):
+        # Similar entry for entry (d = (1, 1e-6)), but 1e-12 * 1e6 cuts the
+        # 1e-7 entry of K while K2's 0.1 stays: the patterns differ.
+        matrix, other = [[0, 1e6], [1e-7, 0]], [[0, 1], [0.1, 0]]
+        assert diagonal_similarity_witness(matrix, other, pattern_tol=0.0) is not None
+        assert diagonal_similarity_witness(matrix, other) is None
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # Not similar: the cycle products 1 and 5 differ.
+        assert diagonal_similarity_witness([[1, 1], [1, 1]], [[1, 5], [1, 1]]) is None
+        with pytest.raises(ValueError, match="tolerance"):
+            diagonal_similarity_witness([[1, 1], [1, 1]], [[1, 5], [1, 1]], tol=tol)
+
     def test_positive_for_nonnegative_inputs(self):
         rng = np.random.default_rng(56)
         base = random_nonnegative(rng, 6, density=0.5)
@@ -241,3 +258,123 @@ class TestDiagonalSimilarityWitness:
         witness = diagonal_similarity_witness(scaled, base)
         assert witness is not None
         assert (witness.d > 0).all()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda t: pattern_tolerance(np.eye(2), t), id="pattern_tolerance"),
+    pytest.param(lambda t: adjacency_digraph(np.eye(2), t), id="adjacency_digraph"),
+    pytest.param(lambda t: is_irreducible([[0, 1], [1, 0]], t), id="is_irreducible"),
+    pytest.param(lambda t: atoms(np.eye(2), t), id="atoms"),
+    pytest.param(lambda t: atomic_part(np.eye(2), t), id="atomic_part"),
+    pytest.param(lambda t: is_completely_reducible(np.eye(2), t),
+                 id="is_completely_reducible"),
+    pytest.param(lambda t: diagonal_similarity_witness(np.eye(2), np.eye(2), pattern_tol=t),
+                 id="diagonal_similarity_witness"),
+])
+@pytest.mark.parametrize("pattern_tol", [-1.0, np.nan, np.inf])
+def test_bad_pattern_tolerance_rejected(call, pattern_tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        call(pattern_tol)
+
+
+def sparse_rows(rng, n):
+    """1 to 3 nonzeros per row, at random columns."""
+    matrix = np.zeros((n, n))
+    for i in range(n):
+        cols = rng.choice(n, int(rng.integers(1, min(3, n) + 1)), replace=False)
+        matrix[i, cols] = rng.uniform(0.1, 1.2, len(cols))
+    return matrix
+
+
+def planted_block_triangular(rng, n):
+    """Matrix whose atoms are a random partition, returned with it.
+
+    Each block carries a cycle of entries >= 0.6 through its members (so
+    it stays irreducible at pattern tolerances up to 0.5), plus random
+    entries inside the block and from earlier blocks to later ones only.
+    """
+    order = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False))
+    blocks = np.split(order, cuts)
+    label = np.empty(n, dtype=int)
+    for tag, block in enumerate(blocks):
+        label[block] = tag
+    matrix = rng.uniform(0.1, 1.2, (n, n)) * (rng.random((n, n)) < 2.0 / n)
+    matrix *= label[:, None] <= label[None, :]
+    for block in blocks:
+        if len(block) > 1:
+            matrix[block, np.roll(block, -1)] = rng.uniform(0.6, 1.2, len(block))
+    expected = sorted((tuple(sorted(int(i) + 1 for i in block)) for block in blocks),
+                      key=lambda block: block[0])
+    return matrix, expected
+
+
+class TestStructureAtFullRange:
+    """Every structural answer up to the CLI's largest file dimension
+    against Warshall's closure, on sparse, signed and planted inputs."""
+
+    @staticmethod
+    def check_against_closure(matrix, pattern_tol):
+        n = len(matrix)
+        tol = pattern_tolerance(matrix, pattern_tol)
+        expected = atoms_by_reachability(matrix, tol)
+        assert atoms(matrix, pattern_tol).blocks == tuple(expected)
+        assert is_irreducible(matrix, pattern_tol) == irreducible_by_closure(matrix, tol) \
+            == (len(expected) == 1)
+        label = np.empty(n, dtype=int)
+        for tag, block in enumerate(expected):
+            label[np.array(block) - 1] = tag
+        same = label[:, None] == label[None, :]
+        assert np.array_equal(atomic_part(matrix, pattern_tol), np.where(same, matrix, 0.0))
+        crossing = (np.abs(matrix) > tol) & ~same
+        assert is_completely_reducible(matrix, pattern_tol) == (not crossing.any())
+        return expected
+
+    @pytest.mark.parametrize("pattern_tol", [None, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 32, 33, 63, 64])
+    def test_matches_closure_oracle(self, n, pattern_tol):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(4):
+            sparse = sparse_rows(rng, n)
+            self.check_against_closure(sparse, pattern_tol)
+            signed = sparse_rows(rng, n) * rng.choice([-1.0, 1.0], (n, n))
+            self.check_against_closure(signed, pattern_tol)
+            planted, expected = planted_block_triangular(rng, n)
+            assert self.check_against_closure(planted, pattern_tol) == expected
+
+
+@st.composite
+def structured_matrix(draw):
+    """A sparse, signed or planted block-triangular matrix, with an rng."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    kind = draw(st.sampled_from(["sparse", "signed", "planted"]))
+    if kind == "planted":
+        return planted_block_triangular(rng, n)[0], rng
+    matrix = sparse_rows(rng, n)
+    if kind == "signed":
+        matrix *= rng.choice([-1.0, 1.0], (n, n))
+    return matrix, rng
+
+
+class TestStructureInvariance:
+    """Atoms follow a relabelling and do not move under transposition or
+    rescaling by a power of two (which scales the default tolerance
+    exactly)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(structured_matrix(), st.integers(-30, 30), st.sampled_from([None, 0.0]))
+    def test_symmetries_keep_the_atoms(self, case, e, pattern_tol):
+        matrix, rng = case
+        blocks = atoms(matrix, pattern_tol).blocks
+        irreducible = is_irreducible(matrix, pattern_tol)
+        p = rng.permutation(len(matrix))
+        position = np.argsort(p)  # index i of K sits at position[i] of P K P^T
+        relabelled = sorted((tuple(sorted(int(position[i - 1]) + 1 for i in block))
+                             for block in blocks), key=lambda block: block[0])
+        assert atoms(matrix[np.ix_(p, p)], pattern_tol).blocks == tuple(relabelled)
+        assert is_irreducible(matrix[np.ix_(p, p)], pattern_tol) is irreducible
+        assert atoms(matrix.T, pattern_tol).blocks == blocks
+        assert is_irreducible(matrix.T, pattern_tol) is irreducible
+        assert atoms(2.0 ** e * matrix, pattern_tol).blocks == blocks
+        assert is_irreducible(2.0 ** e * matrix, pattern_tol) is irreducible
