@@ -162,11 +162,11 @@ def clan_at(K, alpha, tol: float = CLAN_RANK_TOL) -> Clan | None:
     return Clan(alpha=a, v=v, b=b, c=c, w=w)
 
 
-def _iter_clans(K, tol: float, max_n: int | None):
+def _iter_clans(K, tol: float):
     # One batched rank-1 test per slice; clan_at factors only the hits.
     k = as_matrix(K)
     n = k.shape[0]
-    _enumeration_cap(n, max_n, CLAN_ENUMERATION_CAP, "clan enumeration")
+    _enumeration_cap(n, CLAN_ENUMERATION_CAP, "clan enumeration")
     _check_tol(tol)
     for size in range(2, n - 1):
         for alpha in _subset_slices(n, size, 2 * size * (n - size)):
@@ -177,19 +177,19 @@ def _iter_clans(K, tol: float, max_n: int | None):
                 yield clan_at(k, hit, tol=tol)
 
 
-def find_clans(K, tol: float = CLAN_RANK_TOL, max_n: int | None = None) -> list[Clan]:
+def find_clans(K, tol: float = CLAN_RANK_TOL) -> list[Clan]:
     """All clans of K, in size-then-lex order of their subsets.
 
     Exhaustive over subsets, hence capped (default n <= 16). A clan's
     complement is itself a clan and is reported separately. Matrices of
     size up to 3 have no room for a clan and yield an empty list.
     """
-    return list(_iter_clans(K, tol, max_n))
+    return list(_iter_clans(K, tol))
 
 
-def is_clan_free(K, tol: float = CLAN_RANK_TOL, max_n: int | None = None) -> bool:
+def is_clan_free(K, tol: float = CLAN_RANK_TOL) -> bool:
     """Whether K has no clan at all."""
-    return next(_iter_clans(K, tol, max_n), None) is None
+    return next(_iter_clans(K, tol), None) is None
 
 
 def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
@@ -225,8 +225,7 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
     return result
 
 
-def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9,
-                                        max_n: int | None = None) -> EqualityVerdict:
+def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """Check that two matrices have equal spectra on every index subset.
 
     Principal submatrices of a partial-transpose pair are again partial
@@ -234,10 +233,7 @@ def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9,
     equality of every submatrix pair is equivalent to the equality of the
     two principal-minor tables, which is what gets compared.
     """
-    a, b = _matrix_pair(K, K2)
-    cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP,
-                           "submatrix-spectra verification")
-    return minors_equal(a, b, tol=tol, max_n=cap)
+    return minors_equal(K, K2, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -257,8 +253,7 @@ def _is_symmetric(m: np.ndarray, tol: float) -> bool:
     return bool(np.abs(m - m.T).max() <= tol * max(1.0, float(np.abs(m).max())))
 
 
-def classify_minor_equal_pair(K, K2, tol: float = 1e-9,
-                              max_n: int | None = None) -> Classification:
+def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
     """Explain how a nonnegative minor-equal pair (K, K2) is related.
 
     Requires both matrices nonnegative and all principal minors equal
@@ -274,8 +269,8 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9,
     a, b = _matrix_pair(K, K2)
     if (a < 0).any() or (b < 0).any():
         raise ValueError("classification applies to nonnegative matrices only")
-    cap = _enumeration_cap(a.shape[0], max_n, CLAN_ENUMERATION_CAP, "pair classification")
-    verdict = minors_equal(a, b, tol=tol, max_n=cap)
+    _enumeration_cap(a.shape[0], CLAN_ENUMERATION_CAP, "pair classification")
+    verdict = minors_equal(a, b, tol=tol)
     if not verdict.equal:
         raise ValueError("principal minors differ (first mismatch at subset "
                          f"{verdict.witness}); classification needs a minor-equal pair")
@@ -291,7 +286,7 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9,
         if witness is not None:
             return Classification(kind="diagonally-similar-to-K", witness=witness)
         return Classification(kind="unresolved")
-    clan_free = is_clan_free(a, max_n=cap)
+    clan_free = is_clan_free(a)
     if is_irreducible(a) and clan_free:
         witness = diagonal_similarity_witness(b, a, tol=tol)
         if witness is not None:

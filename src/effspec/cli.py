@@ -12,7 +12,6 @@ emits one ``{"key": ..., "value": ...}`` record per line instead of text.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +31,6 @@ from .spectral import (
 from .structure import atoms, diagonal_similarity_witness
 
 MAX_FILE_DIM = 64
-HARD_MAX_N = 24
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -170,7 +168,7 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def cmd_radius(args, max_n) -> Report:
+def cmd_radius(args) -> Report:
     matrix = _load(args.file)
     eta = _parse_eta(args.eta, matrix.shape[0])
     report = Report()
@@ -181,7 +179,7 @@ def cmd_radius(args, max_n) -> Report:
     return report
 
 
-def cmd_spectrum(args, max_n) -> Report:
+def cmd_spectrum(args) -> Report:
     matrix = _load(args.file)
     eta = _parse_eta(args.eta, matrix.shape[0])
     values = sorted(effective_spectrum(matrix, eta),
@@ -195,16 +193,16 @@ def cmd_spectrum(args, max_n) -> Report:
     return report
 
 
-def cmd_compare(args, max_n) -> Report:
+def cmd_compare(args) -> Report:
     a = _load(args.file_a)
     b = _load(args.file_b)
     if args.signed:
-        verdict = signed_equality_check(a, b, tol=args.tol, max_n=max_n)
+        verdict = signed_equality_check(a, b, tol=args.tol)
     else:
         if (a < 0).any() or (b < 0).any():
             raise ValueError("matrix has negative entries; rerun with --signed "
                              "to use the guarded check")
-        verdict = same_effective_family(a, b, tol=args.tol, max_n=max_n)
+        verdict = same_effective_family(a, b, tol=args.tol)
     report = Report()
     report.add("command", "compare")
     report.add("file_a", args.file_a)
@@ -225,9 +223,9 @@ def cmd_compare(args, max_n) -> Report:
     return report
 
 
-def cmd_minors(args, max_n) -> Report:
+def cmd_minors(args) -> Report:
     matrix = _load(args.file)
-    table = all_principal_minors(matrix, max_n=max_n)
+    table = all_principal_minors(matrix)
     report = Report()
     report.add("command", "minors")
     report.add("file", args.file)
@@ -237,7 +235,7 @@ def cmd_minors(args, max_n) -> Report:
     return report
 
 
-def cmd_atoms(args, max_n) -> Report:
+def cmd_atoms(args) -> Report:
     matrix = _load(args.file)
     partition = atoms(matrix)
     report = Report()
@@ -248,9 +246,9 @@ def cmd_atoms(args, max_n) -> Report:
     return report
 
 
-def cmd_clans(args, max_n) -> Report:
+def cmd_clans(args) -> Report:
     matrix = _load(args.file)
-    clans = find_clans(matrix, tol=args.tol, max_n=max_n)
+    clans = find_clans(matrix, tol=args.tol)
     report = Report()
     report.add("command", "clans")
     report.add("file", args.file)
@@ -261,7 +259,7 @@ def cmd_clans(args, max_n) -> Report:
     return report
 
 
-def cmd_partial_transpose(args, max_n) -> Report:
+def cmd_partial_transpose(args) -> Report:
     matrix = _load(args.file)
     alpha = _parse_alpha(args.alpha, matrix.shape[0])
     clan = clan_at(matrix, alpha, tol=args.tol)
@@ -278,7 +276,7 @@ def cmd_partial_transpose(args, max_n) -> Report:
     return report
 
 
-def cmd_diagsim(args, max_n) -> Report:
+def cmd_diagsim(args) -> Report:
     a = _load(args.file_a)
     b = _load(args.file_b)
     witness = diagonal_similarity_witness(a, b, tol=args.tol)
@@ -296,9 +294,9 @@ def cmd_diagsim(args, max_n) -> Report:
     return report
 
 
-def cmd_minimize(args, max_n) -> Report:
+def cmd_minimize(args) -> Report:
     matrix = _load(args.file)
-    best, ties = budget_minimize(matrix, args.budget, tol=args.tol, max_n=max_n)
+    best, ties = budget_minimize(matrix, args.budget, tol=args.tol)
     report = Report()
     report.add("command", "minimize")
     report.add("file", args.file)
@@ -389,19 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _enumeration_override() -> int | None:
-    raw = os.environ.get("EFFSPEC_MAX_N")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"EFFSPEC_MAX_N must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"EFFSPEC_MAX_N must be positive, got {value}")
-    return min(value, HARD_MAX_N)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -409,8 +394,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
     try:
-        max_n = _enumeration_override()
-        report = args.handler(args, max_n)
+        report = args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64

@@ -12,6 +12,7 @@ to call concurrently.
 import itertools
 import logging
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -39,6 +40,9 @@ __all__ = [
 #: Dimension cap for full principal-minor enumeration (2**n - 1 subsets).
 MINOR_ENUMERATION_CAP = 20
 
+#: Ceiling on every enumeration cap, whatever ``EFFSPEC_MAX_N`` asks for.
+HARD_MAX_N = 24
+
 #: Default relative tolerance for eigenvalue agreement.
 EIGENVALUE_TOL = 1e-8
 
@@ -59,16 +63,21 @@ class EnumerationCapError(ValueError):
         super().__init__(f"{what} refused for n={n}: the cap is n <= {cap}")
 
 
-def _enumeration_cap(n: int, max_n: int | None, default: int = MINOR_ENUMERATION_CAP,
-                     what: str = "principal-minor enumeration") -> int:
-    # The one cap policy of every subset sweep: ``max_n`` overrides the
-    # sweep's default, and a dimension above the cap is refused, never
-    # truncated. Returns the cap in force.
-    cap = default if max_n is None else max_n
+def _enumeration_cap(n: int, default: int = MINOR_ENUMERATION_CAP,
+                     what: str = "principal-minor enumeration") -> None:
+    # The one cap policy of every subset sweep: ``EFFSPEC_MAX_N`` (unset means
+    # the sweep's default), read at each sweep and clamped to HARD_MAX_N, sets
+    # the cap, and a dimension above the cap is refused, never truncated.
+    raw = os.environ.get("EFFSPEC_MAX_N", str(default))
+    try:
+        cap = min(int(raw), HARD_MAX_N)
+    except ValueError:
+        raise ValueError(f"EFFSPEC_MAX_N must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"EFFSPEC_MAX_N must be positive, got {cap}")
     if n > cap:
         _log.debug("%s refused for n=%d: the cap is n <= %d", what, n, cap)
         raise EnumerationCapError(n, cap, what)
-    return cap
 
 
 def _check_tol(tol: float) -> float:
@@ -210,14 +219,14 @@ def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
             for chosen in _subset_slices(len(m), size, size * size)])
 
 
-def all_principal_minors(M, max_n: int | None = None) -> SubsetTable:
+def all_principal_minors(M) -> SubsetTable:
     """Complete principal-minor table over all non-empty index subsets.
 
-    Refuses matrices above the enumeration cap (``max_n`` overrides the
-    default of ``MINOR_ENUMERATION_CAP``) rather than truncating silently.
+    Refuses matrices above the enumeration cap (``MINOR_ENUMERATION_CAP``
+    unless ``EFFSPEC_MAX_N`` is set) rather than truncating silently.
     """
     m = as_matrix(M)
-    _enumeration_cap(m.shape[0], max_n)
+    _enumeration_cap(m.shape[0])
     return SubsetTable(m.shape[0], _subset_sweep(m, np.linalg.det))
 
 

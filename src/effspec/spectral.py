@@ -111,18 +111,17 @@ def effective_spectrum(K, eta) -> np.ndarray:
     return eigenvalues(k * e)
 
 
-def boolean_radius_table(K, max_n: int | None = None) -> SubsetTable:
+def boolean_radius_table(K) -> SubsetTable:
     """Effective radii over the boolean grid: entry alpha is rho(K[alpha]).
 
     Evaluating the effective radius at the indicator vector of alpha equals
     the spectral radius of the principal submatrix on alpha, so the table
     lists the radius at every nonzero boolean profile. The all-zero profile
     is not stored; its radius is 0 by convention. Enumerates all non-empty
-    index subsets, so it is capped like the minor table (default n <= 20,
-    overridable via ``max_n``).
+    index subsets, so it is capped like the minor table (default n <= 20).
     """
     k = as_matrix(K)
-    _enumeration_cap(k.shape[0], max_n, what="boolean-grid radius sweep")
+    _enumeration_cap(k.shape[0], what="boolean-grid radius sweep")
     # abs turns the diagonal singletons into their radii and keeps the rest.
     return SubsetTable(k.shape[0], np.abs(_subset_sweep(k, _radii)))
 
@@ -176,7 +175,7 @@ def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
                            max_discrepancy=float(mismatch.max()))
 
 
-def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> EqualityVerdict:
+def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """Whether all principal minors of the two matrices coincide.
 
     This is the complete finite invariant for equality of effective spectra
@@ -185,12 +184,11 @@ def minors_equal(K, K2, tol: float = 1e-9, max_n: int | None = None) -> Equality
     """
     _check_tol(tol)  # before the tables, which can take seconds to build
     a, b = _matrix_pair(K, K2)
-    return _compare_tables("principal-minors", all_principal_minors(a, max_n=max_n),
-                           all_principal_minors(b, max_n=max_n), tol)
+    return _compare_tables("principal-minors", all_principal_minors(a),
+                           all_principal_minors(b), tol)
 
 
-def same_effective_family(K, K2, tol: float = 1e-9,
-                          max_n: int | None = None) -> EqualityVerdict:
+def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """Decide whether two nonnegative matrices share the same effective
     spectrum function (equivalently the same effective radius function).
 
@@ -204,11 +202,10 @@ def same_effective_family(K, K2, tol: float = 1e-9,
         raise ValueError("matrix has negative entries; the minor-table verdict "
                          "only decides equality for nonnegative matrices, "
                          "use signed_equality_check instead")
-    return minors_equal(a, b, tol=tol, max_n=max_n)
+    return minors_equal(a, b, tol=tol)
 
 
-def signed_equality_check(K, K2, tol: float = 1e-9,
-                          max_n: int | None = None) -> EqualityVerdict:
+def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """Guarded equality check for matrices with entries of arbitrary sign.
 
     Under the guard (matching diagonal signs and at most one zero diagonal
@@ -232,7 +229,7 @@ def signed_equality_check(K, K2, tol: float = 1e-9,
         return EqualityVerdict(equal=None, method=method,
                                detail=f"diagonal has {zeros} zero entries "
                                       "(at most one allowed)")
-    return replace(minors_equal(a, b, tol=tol, max_n=max_n), method=method)
+    return replace(minors_equal(a, b, tol=tol), method=method)
 
 
 def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
@@ -241,26 +238,25 @@ def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
     return _compare_tables("boolean-radius-grid", table_a, table_b, tol)
 
 
-def budget_minimize(K, budget: int, tol: float = 1e-9,
-                    max_n: int | None = None) -> tuple[float, list[IndexSet]]:
+def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[IndexSet]]:
     """Boolean profiles with ``budget`` zeroed indices that minimize the radius.
 
     The profile zeroing the indices in ``zeroed`` has effective radius
     rho(K[support]), with support the complement of ``zeroed``. Returns the
     minimal radius and every zeroed set within ``tol * max(1, best)`` of it,
     in lexicographic order. K must be nonnegative. Capped like the minor
-    table (default n <= 20, overridable via ``max_n``). Eigenvalues are only
-    computed where a Collatz-Wielandt lower bound on the radius (three power
-    steps from the ones vector, shrunk by a relative slack of 1e-6) is within
-    the tolerance of the best radius so far. The result is that of evaluating
-    all C(n, budget) profiles unless eigvals misstates a skipped profile's
-    radius by more than the slack.
+    table (default n <= 20). Eigenvalues are only computed where a
+    Collatz-Wielandt lower bound on the radius (three power steps from the
+    ones vector, shrunk by a relative slack of 1e-6) is within the tolerance
+    of the best radius so far. The result is that of evaluating all
+    C(n, budget) profiles unless eigvals misstates a skipped profile's radius
+    by more than the slack.
     """
     k = as_matrix(K)
     if (k < 0).any():
         raise ValueError("budget minimization needs a nonnegative matrix")
     n = k.shape[0]
-    _enumeration_cap(n, max_n, what="budget minimization sweep")
+    _enumeration_cap(n, what="budget minimization sweep")
     if not 0 <= budget <= n:
         raise ValueError(f"budget must be between 0 and {n}, got {budget}")
     _check_tol(tol)

@@ -74,8 +74,7 @@ def pattern_tolerance(K, pattern_tol: float | None = None) -> float:
     """
     if pattern_tol is not None:
         return float(_check_tol(pattern_tol))
-    k = np.asarray(K, dtype=float)
-    return PATTERN_TOL_REL * float(np.abs(k).max(initial=0.0))
+    return PATTERN_TOL_REL * float(np.abs(as_matrix(K)).max())
 
 
 def _pattern(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +102,7 @@ def adjacency_digraph(K, pattern_tol: float | None = None) -> Digraph:
     """Digraph with an edge (i, j) whenever |K_ij| exceeds the tolerance."""
     k, pattern = _pattern(K, pattern_tol)
     rows, cols = np.nonzero(pattern)
-    edges = frozenset((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+    edges = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
     return Digraph(n=k.shape[0], edges=edges)
 
 

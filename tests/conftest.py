@@ -9,6 +9,13 @@ def _warm_lapack():
     np.linalg.det(np.eye(2))
 
 
+@pytest.fixture(autouse=True)
+def _default_enumeration_caps(monkeypatch):
+    # Every sweep reads EFFSPEC_MAX_N; a value exported in the shell must not
+    # change what the tests see. Tests that need one set it themselves.
+    monkeypatch.delenv("EFFSPEC_MAX_N", raising=False)
+
+
 @pytest.fixture
 def zero_diag_pair():
     """Two matrices with equal effective radii everywhere but a differing

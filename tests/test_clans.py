@@ -118,11 +118,12 @@ class TestFindClans:
             assert np.abs(upper - np.outer(clan.v, clan.b)).max() <= 1e-12
             assert np.abs(lower - np.outer(clan.c, clan.w)).max() <= 1e-12
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
         with pytest.raises(EnumerationCapError, match="16"):
             find_clans(np.eye(17))
+        monkeypatch.setenv("EFFSPEC_MAX_N", "4")
         with pytest.raises(EnumerationCapError):
-            is_clan_free(np.eye(5), max_n=4)
+            is_clan_free(np.eye(5))
 
     def test_wrong_size_subsets_rejected_by_clan_at(self):
         rng = np.random.default_rng(66)
@@ -251,11 +252,20 @@ class TestVerifyInvariance:
         assert verdict.witness == (5,)
 
     def test_cap(self):
-        with pytest.raises(EnumerationCapError):
-            verify_partial_transpose_invariance(np.eye(17), np.eye(17))
+        # Two minor tables, no clan scan: the minor-table cap applies.
+        with pytest.raises(EnumerationCapError) as info:
+            verify_partial_transpose_invariance(np.eye(21), np.eye(21))
+        assert info.value.cap == 20
+        assert verify_partial_transpose_invariance(np.eye(17), np.eye(17)).equal
 
 
 class TestClassification:
+    def test_clan_cap_refuses_before_the_minor_tables(self):
+        # n = 17 fits the minor-table cap (20) but not the clan scan (16).
+        with pytest.raises(EnumerationCapError, match="pair classification") as info:
+            classify_minor_equal_pair(np.eye(17), np.eye(17))
+        assert info.value.cap == 16
+
     def test_symmetric_identical(self):
         matrix = np.array([[1.0, 0.5], [0.5, 2.0]])
         outcome = classify_minor_equal_pair(matrix, matrix)

@@ -363,7 +363,7 @@ class TestUsageAndEnvironment:
         assert "tolerance" in captured.err
 
     def test_internal_error_exits_70(self, swap_file, monkeypatch, capsys):
-        def broken(args, max_n):
+        def broken(args):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_radius", broken)

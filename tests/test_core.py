@@ -10,15 +10,20 @@ from effspec import (
     SubsetTable,
     all_principal_minors,
     as_matrix,
+    boolean_radius_table,
+    budget_minimize,
     characteristic_polynomial,
     classify_minor_equal_pair,
     determinant,
     diagonal_similarity_witness,
     eigenvalues,
+    find_clans,
     index_sets,
+    is_clan_free,
     minors_equal,
     multisets_match,
     principal_minor,
+    same_effective_family,
     signed_equality_check,
     spectral_radius,
     submatrix,
@@ -253,20 +258,52 @@ class TestPrincipalMinors:
         assert len(table) == 2 ** 4 - 1
         assert list(table.values) == list(index_sets(4))
 
-    def test_cap_refusal_and_override(self):
+    def test_cap_refusal_and_override(self, monkeypatch):
         with pytest.raises(EnumerationCapError) as info:
             all_principal_minors(np.eye(21))
         assert info.value.n == 21 and info.value.cap == 20
+        monkeypatch.setenv("EFFSPEC_MAX_N", "4")
         with pytest.raises(EnumerationCapError):
-            all_principal_minors(np.eye(5), max_n=4)
-        assert len(all_principal_minors(np.eye(5), max_n=5)) == 31
+            all_principal_minors(np.eye(5))
+        monkeypatch.setenv("EFFSPEC_MAX_N", "5")
+        assert len(all_principal_minors(np.eye(5))) == 31
 
-    def test_cap_refusal_is_logged(self, caplog):
+    def test_cap_refusal_is_logged(self, caplog, monkeypatch):
         caplog.set_level(logging.DEBUG, logger="effspec")
+        monkeypatch.setenv("EFFSPEC_MAX_N", "4")
         with pytest.raises(EnumerationCapError):
-            all_principal_minors(np.eye(5), max_n=4)
+            all_principal_minors(np.eye(5))
         assert [record.getMessage() for record in caplog.records] == [
             "principal-minor enumeration refused for n=5: the cap is n <= 4"]
+
+
+@pytest.mark.parametrize("sweep", [
+    pytest.param(all_principal_minors, id="all_principal_minors"),
+    pytest.param(boolean_radius_table, id="boolean_radius_table"),
+    pytest.param(lambda m: minors_equal(m, m), id="minors_equal"),
+    pytest.param(lambda m: same_effective_family(m, m), id="same_effective_family"),
+    pytest.param(lambda m: signed_equality_check(m, m), id="signed_equality_check"),
+    pytest.param(lambda m: verify_partial_transpose_invariance(m, m),
+                 id="verify_partial_transpose_invariance"),
+    pytest.param(lambda m: budget_minimize(m, 1), id="budget_minimize"),
+    pytest.param(find_clans, id="find_clans"),
+    pytest.param(is_clan_free, id="is_clan_free"),
+    pytest.param(lambda m: classify_minor_equal_pair(m, m), id="classify_minor_equal_pair"),
+])
+def test_every_sweep_obeys_the_one_enumeration_limit(sweep, monkeypatch):
+    monkeypatch.setenv("EFFSPEC_MAX_N", "4")
+    sweep(np.eye(4))
+    with pytest.raises(EnumerationCapError) as info:
+        sweep(np.eye(5))
+    assert (info.value.n, info.value.cap) == (5, 4)
+    for raw in ("many", "0", "-3"):
+        monkeypatch.setenv("EFFSPEC_MAX_N", raw)
+        with pytest.raises(ValueError, match="EFFSPEC_MAX_N"):
+            sweep(np.eye(25))
+    monkeypatch.setenv("EFFSPEC_MAX_N", "30")  # clamped to the ceiling of 24
+    with pytest.raises(EnumerationCapError) as info:
+        sweep(np.eye(25))
+    assert (info.value.n, info.value.cap) == (25, 24)
 
 
 class TestSubsetTable:

@@ -325,13 +325,15 @@ class TestBudgetMinimize:
         with pytest.raises(ValueError, match="nonnegative"):
             budget_minimize(-TWO_SWAPS, 1)
 
-    def test_default_cap_and_override(self):
+    def test_default_cap_and_override(self, monkeypatch):
         with pytest.raises(EnumerationCapError) as info:
             budget_minimize(np.eye(21), 21)
         assert info.value.cap == 20
+        monkeypatch.setenv("EFFSPEC_MAX_N", "3")
         with pytest.raises(EnumerationCapError):
-            budget_minimize(TWO_SWAPS, 1, max_n=3)
-        assert budget_minimize(np.eye(21), 21, max_n=21) == (0.0, [tuple(range(1, 22))])
+            budget_minimize(TWO_SWAPS, 1)
+        monkeypatch.setenv("EFFSPEC_MAX_N", "21")
+        assert budget_minimize(np.eye(21), 21) == (0.0, [tuple(range(1, 22))])
 
     @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
     def test_bad_tolerance_rejected(self, tol):

@@ -277,6 +277,18 @@ def test_bad_pattern_tolerance_rejected(call, pattern_tol):
         call(pattern_tol)
 
 
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[np.nan, 1.0]], id="nan-row"),
+    pytest.param([[np.inf]], id="inf"),
+    pytest.param([[1.0, np.nan], [0.0, 1.0]], id="nan-square"),
+    pytest.param([[1.0, 2.0, 3.0]], id="non-square"),
+])
+def test_default_pattern_tolerance_validates_the_matrix(matrix):
+    # A NaN or infinite threshold would make every pattern test False.
+    with pytest.raises(ValueError, match="square|finite"):
+        pattern_tolerance(matrix)
+
+
 def sparse_rows(rng, n):
     """1 to 3 nonzeros per row, at random columns."""
     matrix = np.zeros((n, n))
