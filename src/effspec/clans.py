@@ -23,12 +23,12 @@ from .core import (
     _check_tol,
     _complements,
     _enumeration_cap,
+    _log,
     _matrix_pair,
     _subset_slices,
     as_index_set,
     as_matrix,
     complement,
-    submatrix,
 )
 from .spectral import EqualityVerdict, minors_equal
 from .structure import (
@@ -87,9 +87,8 @@ def rank1_factor(B, tol: float = CLAN_RANK_TOL) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"expected a matrix block, got shape {block.shape}")
     if not np.isfinite(block).all():
         raise ValueError("block entries must be finite")
-    m, k = block.shape
-    if np.abs(block).max(initial=0.0) == 0.0:
-        return np.zeros(m), np.zeros(k)
+    if block.size == 0:
+        return np.zeros(block.shape[0]), np.zeros(block.shape[1])
     u, v, (p, q), residual, fits = _rank1_fit(block, tol)
     if not fits:
         i, j = np.unravel_index(residual.argmax(), residual.shape)
@@ -101,15 +100,16 @@ def rank1_factor(B, tol: float = CLAN_RANK_TOL) -> tuple[np.ndarray, np.ndarray]
 
 
 def _rank1_fit(blocks: np.ndarray, tol: float):
-    # Fit of each block of a stack (..., m, k): pivot at the first largest
-    # magnitude of the first column holding the block maximum; u, v, pivot,
-    # |B - u v^T| and whether that is within tol * |pivot|. Zero blocks fit.
+    # Fit of each block of a stack (..., m, k): pivot at the first largest magnitude
+    # of the first column holding the block maximum; u, v, pivot, |B - u v^T| and
+    # whether that is within tol * |pivot|. Zero blocks fit, with +0.0 factors.
     col = np.abs(blocks).max(-2).argmax(-1)[..., None]
     column = np.take_along_axis(blocks, col[..., None, :], -1)[..., 0]
     row = np.abs(column).argmax(-1)[..., None]
     pivot = np.take_along_axis(column, row, -1)
-    u = column / np.where(pivot == 0.0, 1.0, pivot)
-    v = np.take_along_axis(blocks, row[..., None], -2)[..., 0, :]
+    zero = pivot == 0.0
+    u = np.where(zero, 0.0, column / np.where(zero, 1.0, pivot))
+    v = np.where(zero, 0.0, np.take_along_axis(blocks, row[..., None], -2)[..., 0, :])
     residual = np.abs(blocks - u[..., :, None] * v[..., None, :])
     fits = residual.max((-2, -1)) <= tol * np.abs(pivot[..., 0])
     return u, v, (row[..., 0], col[..., 0]), residual, fits
@@ -148,33 +148,41 @@ def clan_at(K, alpha, tol: float = CLAN_RANK_TOL) -> Clan | None:
     Not a clan means the size constraint 2 <= |alpha| <= n - 2 fails or
     one of the two off-diagonal blocks has rank above 1.
     """
+    _check_tol(tol)
     k = as_matrix(K)
     n = k.shape[0]
     a = as_index_set(alpha, n)
     if not 2 <= len(a) <= n - 2:
         return None
-    rest = complement(a, n)
-    try:
-        v, b = rank1_factor(submatrix(k, a, rest), tol=tol)
-        c, w = rank1_factor(submatrix(k, rest, a), tol=tol)
-    except RankOneFactorError:
-        return None
-    return Clan(alpha=a, v=v, b=b, c=c, w=w)
+    return next(_clans(k, np.array([a]) - 1, tol, np.zeros(3, dtype=int)), None)
+
+
+def _clans(k: np.ndarray, subsets: np.ndarray, tol: float, tally: np.ndarray):
+    # The clans of a stack of 0-based subsets of one size, in stack order. Their factors
+    # are rows of one fit of every K[alpha, alpha^c] and one of K[alpha^c, alpha] where
+    # the first fits. Adds (second-block fits, subsets, clans) to tally.
+    rest = _complements(subsets, k.shape[0])
+    v, b, *_, fits = _rank1_fit(k[subsets[:, :, None], rest[:, None, :]], tol)
+    alpha, rest, v, b = subsets[fits], rest[fits], v[fits], b[fits]
+    c, w, *_, fits = _rank1_fit(k[rest[:, :, None], alpha[:, None, :]], tol)
+    tally += len(alpha), len(subsets), fits.sum()
+    for a, *factors in zip((alpha[fits] + 1).tolist(), v[fits], b[fits], c[fits], w[fits]):
+        yield Clan(tuple(a), *factors)
 
 
 def _iter_clans(K, tol: float):
-    # One batched rank-1 test per slice; clan_at factors only the hits.
+    # One _clans batch per slice and one DEBUG record per scan, early stops included.
     k = as_matrix(K)
     n = k.shape[0]
     _enumeration_cap(n, CLAN_ENUMERATION_CAP, "clan enumeration")
     _check_tol(tol)
-    for size in range(2, n - 1):
-        for alpha in _subset_slices(n, size, 2 * size * (n - size)):
-            rest = _complements(alpha, n)
-            hits = _rank1_fit(k[alpha[:, :, None], rest[:, None, :]], tol)[-1] \
-                & _rank1_fit(k[rest[:, :, None], alpha[:, None, :]], tol)[-1]
-            for hit in (alpha[hits] + 1).tolist():
-                yield clan_at(k, hit, tol=tol)
+    tally = np.zeros(3, dtype=int)
+    try:
+        for size in range(2, n - 1):
+            for alpha in _subset_slices(n, size, 2 * size * (n - size)):
+                yield from _clans(k, alpha, tol, tally)
+    finally:
+        _log.debug("clan scan: second-block fits on %d of %d subsets, %d clans", *tally.tolist())
 
 
 def find_clans(K, tol: float = CLAN_RANK_TOL) -> list[Clan]:
@@ -209,10 +217,9 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
     a = as_index_set(clan.alpha, n)
     if not 2 <= len(a) <= n - 2:
         raise ValueError(f"clan subset {a} must have size between 2 and {n - 2}")
-    rest = complement(a, n)
     rows = [i - 1 for i in a]
-    cols = [j - 1 for j in rest]
-    bound = tol * max(1.0, float(np.abs(k).max()))
+    cols = [j - 1 for j in complement(a, n)]
+    bound = _check_tol(tol) * max(1.0, float(np.abs(k).max()))
     upper = k[np.ix_(rows, cols)]
     lower = k[np.ix_(cols, rows)]
     if np.abs(upper - np.outer(clan.v, clan.b)).max(initial=0.0) > bound \
@@ -286,8 +293,9 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
         if witness is not None:
             return Classification(kind="diagonally-similar-to-K", witness=witness)
         return Classification(kind="unresolved")
-    clan_free = is_clan_free(a)
-    if is_irreducible(a) and clan_free:
+    if not is_clan_free(a):
+        return Classification(kind="clan-obstructed")
+    if is_irreducible(a):
         witness = diagonal_similarity_witness(b, a, tol=tol)
         if witness is not None:
             return Classification(kind="diagonally-similar-to-K", witness=witness)
@@ -295,7 +303,4 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
         if witness is not None:
             return Classification(kind="diagonally-similar-to-K-transpose",
                                   witness=witness)
-        return Classification(kind="unresolved")
-    if not clan_free:
-        return Classification(kind="clan-obstructed")
     return Classification(kind="unresolved")

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,32 @@ class TestFindClans:
         with pytest.raises(EnumerationCapError):
             is_clan_free(np.eye(5))
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_clan_at_checks_the_tolerance_before_the_size(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            clan_at(np.eye(5), (1,), tol=tol)
+
+    def scan_record(self, caplog, scan, matrix):
+        caplog.set_level(logging.DEBUG, logger="effspec")
+        scan(matrix)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("clan scan")]
+        return record.args
+
+    def test_scan_is_logged(self, caplog):
+        # n = 6 has 50 subsets of clan size. A planted clan and its complement
+        # are the only subsets whose first block fits.
+        matrix, *_ = random_clan_instance(np.random.default_rng(68), 6, m=3)
+        assert self.scan_record(caplog, find_clans, matrix) == (2, 50, 2)
+        caplog.clear()
+        assert self.scan_record(caplog, find_clans, np.eye(6)) == (50, 50, 50)
+
+    def test_early_stop_is_logged(self, caplog):
+        # is_clan_free stops after the first slice, the 15 subsets of size 2.
+        assert self.scan_record(caplog, is_clan_free, np.eye(6)) == (15, 15, 15)
+        caplog.clear()
+        matrix = np.random.default_rng(69).uniform(0.1, 1.1, (6, 6))
+        assert self.scan_record(caplog, is_clan_free, matrix) == (0, 50, 0)
+
     def test_wrong_size_subsets_rejected_by_clan_at(self):
         rng = np.random.default_rng(66)
         matrix, *_ = random_clan_instance(rng, 4, m=2)
@@ -133,6 +161,13 @@ class TestFindClans:
 
 
 class TestPartialTranspose:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN and infinity would accept any factors as a reproduction of K.
+        matrix = np.eye(4)
+        with pytest.raises(ValueError, match="tolerance"):
+            partial_transpose(matrix, clan_at(matrix, (1, 2)), tol=tol)
+
     def test_equal_factor_vectors_transpose_diagonal_block_only(self):
         rng = np.random.default_rng(67)
         shared = rng.uniform(-1, 1, 2)

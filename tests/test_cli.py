@@ -327,10 +327,10 @@ class TestUsageAndEnvironment:
         assert "cap" in capsys.readouterr().err
 
     def test_env_cap_hard_ceiling(self, tmp_path, monkeypatch, capsys):
-        path = write(tmp_path, "m.txt", np.eye(25))
+        path = write(tmp_path, "m.txt", np.eye(31))  # refused under any cap <= 30
         monkeypatch.setenv("EFFSPEC_MAX_N", "30")
         assert main(["minors", path]) == 64
-        assert "24" in capsys.readouterr().err
+        assert "n <= 24" in capsys.readouterr().err
 
     def test_env_cap_raises_limit(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "m.txt", np.eye(21))

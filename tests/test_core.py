@@ -300,10 +300,12 @@ def test_every_sweep_obeys_the_one_enumeration_limit(sweep, monkeypatch):
         monkeypatch.setenv("EFFSPEC_MAX_N", raw)
         with pytest.raises(ValueError, match="EFFSPEC_MAX_N"):
             sweep(np.eye(25))
-    monkeypatch.setenv("EFFSPEC_MAX_N", "30")  # clamped to the ceiling of 24
+    # Clamped to the ceiling of 24; n = 31 is refused under any cap <= 30, so
+    # a broken clamp fails here instead of starting a 2^25 sweep.
+    monkeypatch.setenv("EFFSPEC_MAX_N", "30")
     with pytest.raises(EnumerationCapError) as info:
-        sweep(np.eye(25))
-    assert (info.value.n, info.value.cap) == (25, 24)
+        sweep(np.eye(31))
+    assert (info.value.n, info.value.cap) == (31, 24)
 
 
 class TestSubsetTable:

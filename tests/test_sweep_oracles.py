@@ -20,6 +20,7 @@ from effspec import (
     all_principal_minors,
     boolean_radius_table,
     budget_minimize,
+    clan_at,
     find_clans,
     rank1_factor,
 )
@@ -97,14 +98,36 @@ def zeroed_planted_clan(rng, n):
          small_integers(rng, n - m, n - m)]])
 
 
-CLAN_KINDS = [positive, zero_diagonal, sparse_signed, planted_clan, zeroed_planted_clan]
+def positive_diagonal(rng, n):
+    # Every subset is a clan and every scanned block is zero, a mix of 0.0 and
+    # -0.0 entries; the factors of a zero block are +0.0 all the same.
+    m = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+    np.fill_diagonal(m, rng.uniform(0.1, 2.0, n))
+    return m
+
+
+def direct_sum(rng, n):
+    # A 2x2 and an (n-2)x(n-2) block, each a diagonal plus a signed outer
+    # product: from n = 6 on, nearly half of the subsets are clans, with
+    # nonzero factors, so a slice mixes clans with other subsets.
+    def block(m):
+        return np.diag(rng.uniform(0.1, 2.0, m)) + np.outer(rng.uniform(-1, 1, m),
+                                                             rng.uniform(-1, 1, m))
+    return np.block([[block(2), np.zeros((2, n - 2))], [np.zeros((n - 2, 2)), block(n - 2)]])
+
+
+CLAN_KINDS = [positive, zero_diagonal, sparse_signed, planted_clan, zeroed_planted_clan,
+              positive_diagonal, direct_sum]
 CLAN_CASES = [(kind, n) for kind in CLAN_KINDS for n in range(4, 10)]
 
 
 def same_clans(ours, theirs):
-    return [clan.alpha for clan in ours] == [clan.alpha for clan in theirs] and all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for a, b in zip(ours, theirs) for name in "vbcw")
+    # Bit for bit: the same subsets, and factors of one dtype, shape and bytes,
+    # so a -0.0 where the other has 0.0 is a difference.
+    def bits(clan):
+        factors = (clan.v, clan.b, clan.c, clan.w)
+        return clan.alpha, [(x.dtype, x.shape, x.tobytes()) for x in factors]
+    return [bits(clan) for clan in ours] == [bits(clan) for clan in theirs]
 
 
 @pytest.mark.parametrize("kind, n", CLAN_CASES,
@@ -112,6 +135,17 @@ def same_clans(ours, theirs):
 def test_clan_scan_matches_per_subset_oracle(kind, n):
     matrix = kind(np.random.default_rng([n, CLAN_KINDS.index(kind), 1]), n)
     assert same_clans(find_clans(matrix), clan_scan_by_subset(matrix))
+
+
+@pytest.mark.parametrize("kind", CLAN_KINDS)
+def test_clan_at_is_the_scan_entry(kind):
+    for n in range(4, 9):
+        matrix = kind(np.random.default_rng([n, CLAN_KINDS.index(kind), 2]), n)
+        found = {clan.alpha: clan for clan in find_clans(matrix)}
+        for alpha in core.index_sets(n):
+            ours = clan_at(matrix, alpha)
+            expected = [found[alpha]] if alpha in found else []
+            assert same_clans([] if ours is None else [ours], expected)
 
 
 def fit_outcome(fit, block, tol):
