@@ -2,18 +2,23 @@
 
 Matrix files are plain text: the first non-comment line holds the
 dimension n, followed by n rows of n whitespace-separated decimals.
-A ``#`` starts a comment and blank lines are ignored.
+A ``#`` starts a comment and blank lines are ignored. Numbers, there and
+in options, are ASCII decimals: a token with ``_`` or a non-ASCII
+character is malformed, although Python's ``int`` and ``float`` read it.
 
 Exit codes: 0 affirmative/equal, 1 negative/unequal, 2 inconclusive,
 64 usage or input errors (a ``--tol`` that is not finite and >= 0
-included), 70 internal errors. Reports are deterministic; ``--json-lines``
-emits one ``{"key": ..., "value": ...}`` record per line instead of text.
+included, and a failed write of the report to stdout), 70 internal
+errors. Every report begins with a ``command`` record and one record per
+input file; reports are deterministic, and ``--json-lines`` emits one
+``{"key": ..., "value": ...}`` record per line instead of text.
 """
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +38,14 @@ from .structure import atoms, diagonal_similarity_witness
 MAX_FILE_DIM = 64
 
 
+def _number(token: str, kind):
+    # int() and float() also read "1_0" as 10 and take non-ASCII digits;
+    # callers turn this ValueError into their own "malformed" message.
+    if "_" in token or not token.isascii():
+        raise ValueError(f"malformed number {token!r}")
+    return kind(token)
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the plain-text matrix format; decimal values parse exactly."""
     n = None
@@ -43,7 +56,7 @@ def parse_matrix(text: str) -> np.ndarray:
             continue
         if n is None:
             try:
-                n = int(line)
+                n = _number(line, int)
             except ValueError:
                 raise ValueError(f"expected the dimension on the first line, got {line!r}") from None
             if not 1 <= n <= MAX_FILE_DIM:
@@ -55,7 +68,7 @@ def parse_matrix(text: str) -> np.ndarray:
         if len(tokens) != n:
             raise ValueError(f"row {len(rows) + 1} has {len(tokens)} entries, expected {n}")
         try:
-            rows.append([float(token) for token in tokens])
+            rows.append([_number(token, float) for token in tokens])
         except ValueError:
             raise ValueError(f"malformed number in row {len(rows) + 1}") from None
     if n is None:
@@ -97,9 +110,7 @@ def _text_value(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, complex):
         return [value.real, value.imag]
@@ -112,71 +123,61 @@ def _json_value(value):
 
 @dataclass
 class Report:
-    """Rendered outcome of one subcommand: records plus an exit code."""
+    """A subcommand's own records, after the header ``main`` writes."""
 
-    records: list[tuple[str, object]] = field(default_factory=list)
+    records: list[tuple[str, object]]
     exit_code: int = 0
     matrix: np.ndarray | None = None
 
-    def add(self, key: str, value) -> None:
-        self.records.append((key, value))
 
-
-def _render(report: Report, json_lines: bool) -> None:
+def _render(records: list[tuple[str, object]], matrix, json_lines: bool) -> None:
     if json_lines:
-        records = list(report.records)
-        if report.matrix is not None:
-            records.append(("matrix", report.matrix))
+        if matrix is not None:
+            records = records + [("matrix", matrix)]
         for key, value in records:
             print(json.dumps({"key": key, "value": _json_value(value)}))
         return
-    if report.matrix is not None:
-        for key, value in report.records:
-            print(f"# {key}: {_text_value(value)}")
-        sys.stdout.write(format_matrix(report.matrix))
-        return
-    for key, value in report.records:
-        print(f"{key}: {_text_value(value)}")
+    # A matrix is the output proper, so the records become comment lines.
+    prefix = "" if matrix is None else "# "
+    for key, value in records:
+        print(f"{prefix}{key}: {_text_value(value)}")
+    if matrix is not None:
+        sys.stdout.write(format_matrix(matrix))
 
 
 def _load(path: str) -> np.ndarray:
     return parse_matrix(Path(path).read_text())
 
 
+def _numbers(text: str, kind, option: str) -> list:
+    try:
+        return [_number(token, kind) for token in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed {option} value {text!r}") from None
+
+
 def _parse_eta(text: str | None, n: int) -> np.ndarray:
-    if text is None:
-        return np.ones(n)
-    try:
-        values = [float(token) for token in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed --eta value {text!r}") from None
-    return as_eta(values, n)
-
-
-def _parse_alpha(text: str, n: int):
-    try:
-        indices = [int(token) for token in text.split(",")]
-    except ValueError:
-        raise ValueError(f"malformed --alpha value {text!r}") from None
-    return as_index_set(indices, n)
+    return np.ones(n) if text is None else as_eta(_numbers(text, float, "--eta"), n)
 
 
 def _tolerance(text: str) -> float:
     try:
-        return _check_tol(float(text))
+        return _check_tol(_number(text, float))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _budget(text: str) -> int:
+    try:
+        return _number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def cmd_radius(args) -> Report:
     matrix = _load(args.file)
     eta = _parse_eta(args.eta, matrix.shape[0])
-    report = Report()
-    report.add("command", "radius")
-    report.add("file", args.file)
-    report.add("eta", eta)
-    report.add("radius", effective_radius(matrix, eta))
-    return report
+    return Report([("eta", eta), ("radius", effective_radius(matrix, eta))])
 
 
 def cmd_spectrum(args) -> Report:
@@ -184,13 +185,7 @@ def cmd_spectrum(args) -> Report:
     eta = _parse_eta(args.eta, matrix.shape[0])
     values = sorted(effective_spectrum(matrix, eta),
                     key=lambda z: (-abs(z), -z.real, -z.imag))
-    report = Report()
-    report.add("command", "spectrum")
-    report.add("file", args.file)
-    report.add("eta", eta)
-    for value in values:
-        report.add("eigenvalue", complex(value))
-    return report
+    return Report([("eta", eta)] + [("eigenvalue", complex(value)) for value in values])
 
 
 def cmd_compare(args) -> Report:
@@ -203,108 +198,58 @@ def cmd_compare(args) -> Report:
             raise ValueError("matrix has negative entries; rerun with --signed "
                              "to use the guarded check")
         verdict = same_effective_family(a, b, tol=args.tol)
-    report = Report()
-    report.add("command", "compare")
-    report.add("file_a", args.file_a)
-    report.add("file_b", args.file_b)
-    report.add("method", verdict.method)
     if verdict.equal is None:
-        report.add("verdict", "inconclusive")
-        report.add("detail", verdict.detail)
-        report.exit_code = 2
+        outcome, exit_code = [("verdict", "inconclusive"), ("detail", verdict.detail)], 2
     elif verdict.equal:
-        report.add("verdict", "equal")
-        report.exit_code = 0
+        outcome, exit_code = [("verdict", "equal")], 0
     else:
-        report.add("verdict", "not-equal")
-        report.add("witness", verdict.witness)
-        report.exit_code = 1
-    report.add("max_discrepancy", verdict.max_discrepancy)
-    return report
+        outcome, exit_code = [("verdict", "not-equal"), ("witness", verdict.witness)], 1
+    return Report([("method", verdict.method), *outcome,
+                   ("max_discrepancy", verdict.max_discrepancy)], exit_code)
 
 
 def cmd_minors(args) -> Report:
-    matrix = _load(args.file)
-    table = all_principal_minors(matrix)
-    report = Report()
-    report.add("command", "minors")
-    report.add("file", args.file)
-    report.add("n", table.n)
-    for alpha, value in table.values.items():
-        report.add(f"minor {_fmt_set(alpha)}", value)
-    return report
+    table = all_principal_minors(_load(args.file))
+    return Report([("n", table.n)] + [(f"minor {_fmt_set(alpha)}", value)
+                                      for alpha, value in table.values.items()])
 
 
 def cmd_atoms(args) -> Report:
-    matrix = _load(args.file)
-    partition = atoms(matrix)
-    report = Report()
-    report.add("command", "atoms")
-    report.add("file", args.file)
-    for block in partition.blocks:
-        report.add("atom", block)
-    return report
+    return Report([("atom", block) for block in atoms(_load(args.file)).blocks])
 
 
 def cmd_clans(args) -> Report:
-    matrix = _load(args.file)
-    clans = find_clans(matrix, tol=args.tol)
-    report = Report()
-    report.add("command", "clans")
-    report.add("file", args.file)
-    for clan in clans:
-        report.add("clan", clan.alpha)
-    report.add("clan-free", not clans)
-    report.exit_code = 0 if not clans else 1
-    return report
+    clans = find_clans(_load(args.file), tol=args.tol)
+    return Report([("clan", clan.alpha) for clan in clans] + [("clan-free", not clans)],
+                  exit_code=0 if not clans else 1)
 
 
 def cmd_partial_transpose(args) -> Report:
     matrix = _load(args.file)
-    alpha = _parse_alpha(args.alpha, matrix.shape[0])
+    n = matrix.shape[0]
+    alpha = as_index_set(_numbers(args.alpha, int, "--alpha"), n)
     clan = clan_at(matrix, alpha, tol=args.tol)
     if clan is None:
-        n = matrix.shape[0]
-        raise ValueError(
-            f"subset {_fmt_set(alpha)} is not a clan: it needs size between 2 "
-            f"and {n - 2} and both off-diagonal blocks of rank at most 1")
-    report = Report()
-    report.add("command", "partial-transpose")
-    report.add("file", args.file)
-    report.add("alpha", alpha)
-    report.matrix = partial_transpose(matrix, clan, tol=args.tol)
-    return report
+        why = (f"a {n}x{n} matrix has no clans (clans need n >= 4)" if n < 4 else
+               f"it needs size between 2 and {n - 2} and both off-diagonal blocks "
+               "of rank at most 1")
+        raise ValueError(f"subset {_fmt_set(alpha)} is not a clan: {why}")
+    return Report([("alpha", alpha)], matrix=partial_transpose(matrix, clan, tol=args.tol))
 
 
 def cmd_diagsim(args) -> Report:
     a = _load(args.file_a)
     b = _load(args.file_b)
     witness = diagonal_similarity_witness(a, b, tol=args.tol)
-    report = Report()
-    report.add("command", "diagsim")
-    report.add("file_a", args.file_a)
-    report.add("file_b", args.file_b)
     if witness is None:
-        report.add("verdict", "not-similar")
-        report.exit_code = 1
-    else:
-        report.add("verdict", "similar")
-        report.add("d", witness.d)
-        report.add("residual", witness.residual)
-    return report
+        return Report([("verdict", "not-similar")], exit_code=1)
+    return Report([("verdict", "similar"), ("d", witness.d), ("residual", witness.residual)])
 
 
 def cmd_minimize(args) -> Report:
-    matrix = _load(args.file)
-    best, ties = budget_minimize(matrix, args.budget, tol=args.tol)
-    report = Report()
-    report.add("command", "minimize")
-    report.add("file", args.file)
-    report.add("budget", args.budget)
-    report.add("optimal-radius", best)
-    for zeroed in ties:
-        report.add("optimal-set", zeroed)
-    return report
+    best, ties = budget_minimize(_load(args.file), args.budget, tol=args.tol)
+    return Report([("budget", args.budget), ("optimal-radius", best)]
+                  + [("optimal-set", zeroed) for zeroed in ties])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,6 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_tolerance, default=1e-9,
                      help="comparison tolerance, finite and >= 0 (default 1e-9)")
+    eta = argparse.ArgumentParser(add_help=False)
+    eta.add_argument("--eta", help="comma-separated nonnegative scalings (default all ones)")
 
     parser = _Parser(
         prog="effspec",
@@ -329,60 +276,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "transformations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("radius", parents=[common],
-                       help="effective spectral radius at a scaling profile")
-    p.add_argument("file")
-    p.add_argument("--eta", help="comma-separated nonnegative scalings (default all ones)")
-    p.set_defaults(handler=cmd_radius)
+    # Handlers are looked up here, when the parser is built, so a replaced
+    # ``cmd_*`` (a test double, a tracing wrapper) is the one that runs.
+    def command(name, handler, help, parents=(tol,), files=("file",)):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        for file in files:
+            p.add_argument(file)
+        p.set_defaults(handler=handler, files=files)
+        return p
 
-    p = sub.add_parser("spectrum", parents=[common],
-                       help="effective spectrum at a scaling profile")
-    p.add_argument("file")
-    p.add_argument("--eta", help="comma-separated nonnegative scalings (default all ones)")
-    p.set_defaults(handler=cmd_spectrum)
+    command("radius", cmd_radius, "effective spectral radius at a scaling profile", [eta])
+    command("spectrum", cmd_spectrum, "effective spectrum at a scaling profile", [eta])
 
-    p = sub.add_parser("compare", parents=[common, tol],
-                       help="decide equality of the effective-radius functions")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
+    p = command("compare", cmd_compare, "decide equality of the effective-radius functions",
+                files=("file_a", "file_b"))
     p.add_argument("--signed", action="store_true",
                    help="use the guarded check for matrices with signed entries")
-    p.set_defaults(handler=cmd_compare)
 
-    p = sub.add_parser("minors", parents=[common],
-                       help="all principal minors")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_minors)
+    command("minors", cmd_minors, "all principal minors", [])
+    command("atoms", cmd_atoms, "maximal irreducible index sets", [])
+    command("clans", cmd_clans, "list clans; exit 0 when clan-free")
 
-    p = sub.add_parser("atoms", parents=[common],
-                       help="maximal irreducible index sets")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_atoms)
-
-    p = sub.add_parser("clans", parents=[common, tol],
-                       help="list clans; exit 0 when clan-free")
-    p.add_argument("file")
-    p.set_defaults(handler=cmd_clans)
-
-    p = sub.add_parser("partial-transpose", parents=[common, tol],
-                       help="apply the partial transpose over a clan subset")
-    p.add_argument("file")
+    p = command("partial-transpose", cmd_partial_transpose,
+                "apply the partial transpose over a clan subset")
     p.add_argument("--alpha", required=True,
                    help="comma-separated 1-based indices of the clan subset")
-    p.set_defaults(handler=cmd_partial_transpose)
 
-    p = sub.add_parser("diagsim", parents=[common, tol],
-                       help="search for a diagonal similarity between two matrices")
-    p.add_argument("file_a")
-    p.add_argument("file_b")
-    p.set_defaults(handler=cmd_diagsim)
+    command("diagsim", cmd_diagsim, "search for a diagonal similarity between two matrices",
+            files=("file_a", "file_b"))
 
-    p = sub.add_parser("minimize", parents=[common, tol],
-                       help="boolean profile of given budget minimizing the radius")
-    p.add_argument("file")
-    p.add_argument("--budget", type=int, required=True,
+    p = command("minimize", cmd_minimize,
+                "boolean profile of given budget minimizing the radius")
+    p.add_argument("--budget", type=_budget, required=True,
                    help="number of indices to zero out")
-    p.set_defaults(handler=cmd_minimize)
 
     return parser
 
@@ -395,6 +321,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 64
     try:
         report = args.handler(args)
+        header = [("command", args.command)] + [(file, getattr(args, file)) for file in args.files]
+        _render(header + report.records, report.matrix, json_lines=args.json_lines)
+        # A failed write (a full disk, a closed pipe) is an input/output error.
+        sys.stdout.flush()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
@@ -403,12 +333,17 @@ def main(argv=None) -> int:
         # "not equal", so report it under its own code.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 70
-    _render(report, json_lines=args.json_lines)
     return report.exit_code
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # Already reported; the flush at shutdown must not change the exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

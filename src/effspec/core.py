@@ -177,7 +177,12 @@ class SubsetTable:
     array: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "array", np.array(self.array, dtype=np.float64))
+        # A short or stacked array would broadcast in a comparison and read as equal.
+        array = np.array(self.array, dtype=np.float64)
+        if type(self.n) is not int or self.n < 1 or array.shape != (2 ** self.n - 1,):
+            raise ValueError("a subset table needs an integer n >= 1 and 2**n - 1 values, "
+                             f"got n={self.n!r} and shape {array.shape}")
+        object.__setattr__(self, "array", array)
         self.array.flags.writeable = False
 
     @cached_property

@@ -1,8 +1,14 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import effspec
 from effspec import cli, effective_radius
 from effspec.cli import format_matrix, main, parse_matrix
 from support import random_clan_instance, random_positive
@@ -12,6 +18,16 @@ def write(tmp_path, name, matrix):
     path = tmp_path / name
     path.write_text(format_matrix(matrix))
     return str(path)
+
+
+def run_cli(args, unbuffered, **kwargs):
+    # The CLI in a child process, as a user runs it, importing this checkout.
+    # Unbuffered, a write fails at once; buffered, it may fail only at a flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(effspec.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "effspec.cli", *args], env=env, **kwargs)
 
 
 @pytest.fixture
@@ -68,6 +84,19 @@ class TestMatrixFileFormat:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             parse_matrix("1\nnan\n")
+
+    # int() and float() read "1_0" as 10 and take non-ASCII digits such as
+    # "\u0661" (Arabic-Indic one) and "\uff12" (fullwidth two).
+    @pytest.mark.parametrize("text, message", [
+        ("2\n1_0 1\n1 0\n", "malformed number in row 1"),
+        ("2\n0 1\n1 \u0661\n", "malformed number in row 2"),
+        ("1_0\n" + "1 " * 10 + "\n", "expected the dimension on the first line, got '1_0'"),
+        ("\uff12\n0 1\n1 0\n", "expected the dimension on the first line"),
+    ], ids=["entry-underscore", "entry-non-ascii", "dimension-underscore",
+            "dimension-non-ascii"])
+    def test_only_ascii_decimals(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_matrix(text)
 
 
 class TestRadiusAndSpectrum:
@@ -208,6 +237,13 @@ class TestPartialTransposeCommand:
         assert main(["partial-transpose", path, "--alpha", "1,2"]) == 64
         assert "not a clan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_matrix_has_no_clans(self, tmp_path, capsys, n):
+        path = write(tmp_path, "m.txt", np.ones((n, n)))
+        assert main(["partial-transpose", path, "--alpha", "1,2"]) == 64
+        assert capsys.readouterr().err == (f"error: subset {{1,2}} is not a clan: a {n}x{n} "
+                                           "matrix has no clans (clans need n >= 4)\n")
+
 
 class TestDiagsimCommand:
     def test_round_trip_witness(self, tmp_path, capsys):
@@ -310,6 +346,113 @@ class TestJsonLines:
         assert sorted(map(tuple, eigs)) == [(0.0, -1.0), (0.0, 1.0)]
 
 
+# Each subcommand's arguments; {a} and {b} are two input files, in that order.
+SUBCOMMANDS = {
+    "radius": ["{a}"],
+    "spectrum": ["{a}"],
+    "compare": ["{a}", "{b}"],
+    "minors": ["{a}"],
+    "atoms": ["{a}"],
+    "clans": ["{a}"],
+    "partial-transpose": ["{a}", "--alpha", "1,2"],
+    "diagsim": ["{a}", "{b}"],
+    "minimize": ["{a}", "--budget", "1"],
+}
+
+# The long options each subcommand's --help lists.
+OPTIONS = {
+    "radius": {"--eta"},
+    "spectrum": {"--eta"},
+    "compare": {"--tol", "--signed"},
+    "minors": set(),
+    "atoms": set(),
+    "clans": {"--tol"},
+    "partial-transpose": {"--tol", "--alpha"},
+    "diagsim": {"--tol"},
+    "minimize": {"--tol", "--budget"},
+}
+
+
+class TestReportHeader:
+    @pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json-lines"])
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_command_and_files_come_first(self, tmp_path, capsys, command, json_lines):
+        rng = np.random.default_rng(93)
+        matrix, *_ = random_clan_instance(rng, 4, m=2, low=0.1)
+        paths = {"a": write(tmp_path, "first.txt", matrix),
+                 "b": write(tmp_path, "second.txt", matrix.T)}
+        args = [arg.format(**paths) for arg in SUBCOMMANDS[command]]
+        main([command, *args] + (["--json-lines"] if json_lines else []))
+        out = capsys.readouterr().out
+        files = [arg.format(**paths) for arg in SUBCOMMANDS[command] if arg.startswith("{")]
+        names = ["file"] if len(files) == 1 else ["file_a", "file_b"]
+        header = [("command", command)] + list(zip(names, files))
+        if json_lines:
+            records = [json.loads(line) for line in out.splitlines()]
+            keys = [record["key"] for record in records]
+            assert [(r["key"], r["value"]) for r in records[:len(header)]] == header
+        else:
+            lines = [line for line in out.splitlines() if ": " in line]
+            prefix = "# " if command == "partial-transpose" else ""
+            assert all(line.startswith(prefix) for line in lines)
+            keys = [line[len(prefix):].split(": ", 1)[0] for line in lines]
+            assert lines[:len(header)] == [f"{prefix}{key}: {value}" for key, value in header]
+        # The header is written once, by main, never again by a handler.
+        assert [keys.count(key) for key, _ in header] == [1] * len(header)
+
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_handlers_return_only_their_own_records(self, tmp_path, command):
+        rng = np.random.default_rng(94)
+        matrix, *_ = random_clan_instance(rng, 4, m=2, low=0.1)
+        paths = {"a": write(tmp_path, "a.txt", matrix), "b": write(tmp_path, "b.txt", matrix.T)}
+        args = cli.build_parser().parse_args(
+            [command] + [arg.format(**paths) for arg in SUBCOMMANDS[command]])
+        report = args.handler(args)
+        assert not {"command", "file", "file_a", "file_b"} & {key for key, _ in report.records}
+
+    @pytest.mark.parametrize("command", list(SUBCOMMANDS))
+    def test_help_lists_the_options(self, capsys, command):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        usage = out.split("\n\n", 1)[0]
+        assert usage.startswith(f"usage: effspec {command} [-h] [--json-lines]")
+        count = sum(arg.startswith("{") for arg in SUBCOMMANDS[command])
+        files = ["file"] if count == 1 else ["file_a", "file_b"]
+        assert usage.split()[-len(files):] == files
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", "--json-lines",
+                                                           *OPTIONS[command]}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestFailedOutput:
+    # A report that cannot be written is an input/output error (exit 64), not
+    # a traceback and exit 1, which would read as "not equal", nor a failed
+    # flush at interpreter shutdown, which exits 120.
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_device(self, tmp_path, unbuffered):
+        rng = np.random.default_rng(95)
+        matrix = random_positive(rng, 4)
+        a, b = write(tmp_path, "a.txt", matrix), write(tmp_path, "b.txt", matrix.T)
+        with open("/dev/full", "w") as full:
+            child = run_cli(["compare", a, b], unbuffered, stdout=full,
+                            stderr=subprocess.PIPE, text=True)
+            _, err = child.communicate(timeout=120)
+        assert child.returncode == 64
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_pipe_closed_early(self, tmp_path, unbuffered):
+        # 2**14 - 1 minor lines fill the pipe long before the child is done.
+        path = write(tmp_path, "k.txt", random_positive(np.random.default_rng(96), 14))
+        child = run_cli(["minors", path], unbuffered, stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE, text=True)
+        assert child.stdout.readline() == "command: minors\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 64
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestUsageAndEnvironment:
     def test_no_arguments_is_usage_error(self):
         assert main([]) == 64
@@ -371,6 +514,21 @@ class TestUsageAndEnvironment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: RuntimeError: boom" in captured.err
+
+    # Matrix entries and the dimension line are covered in TestMatrixFileFormat.
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "non-ascii"])
+    @pytest.mark.parametrize("command, message", [
+        (["radius", "{m}", "--eta", "{t},1"], "error: malformed --eta value"),
+        (["partial-transpose", "{m}", "--alpha", "{t},2"], "error: malformed --alpha value"),
+        (["minimize", "{m}", "--budget", "{t}"], "argument --budget: invalid int value"),
+        (["compare", "{m}", "{m}", "--tol", "{t}"], "argument --tol: malformed number"),
+    ], ids=["eta", "alpha", "budget", "tol"])
+    def test_options_take_only_ascii_decimals(self, tmp_path, capsys, command, message, token):
+        path = write(tmp_path, "m.txt", [[1.0, 2.0], [3.0, 4.0]])
+        assert main([arg.format(m=path, t=token) for arg in command]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
     def test_env_cap_invalid(self, tmp_path, monkeypatch, capsys):
         path = write(tmp_path, "m.txt", np.eye(2))

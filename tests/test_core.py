@@ -14,6 +14,7 @@ from effspec import (
     budget_minimize,
     characteristic_polynomial,
     classify_minor_equal_pair,
+    compare_boolean_tables,
     determinant,
     diagonal_similarity_witness,
     eigenvalues,
@@ -360,4 +361,23 @@ class TestSubsetTable:
         source[0] = 9.0
         assert source.flags.writeable
         assert table.values == {(1,): 1.0, (2,): 2.0, (1, 2): 3.0}
+
+    @pytest.mark.parametrize("n, array", [
+        (3, np.zeros(1)), (3, np.zeros(2)), (3, np.zeros(8)), (3, np.zeros((2, 7))),
+        (3, np.zeros((7, 1))), (0, np.zeros(0)), (-1, np.zeros(0)), (2.0, np.zeros(3)),
+        (True, np.zeros(1)), ("2", np.zeros(3)),
+    ], ids=["one-value", "short", "long", "stacked", "column", "n-zero", "n-negative",
+            "n-float", "n-bool", "n-str"])
+    def test_wrong_n_or_shape_rejected(self, n, array):
+        with pytest.raises(ValueError, match="subset table needs an integer n >= 1"):
+            SubsetTable(n, array)
+
+    def test_wrong_shape_cannot_read_as_equal(self):
+        # A one-value or stacked table used to broadcast against seven values
+        # and compare equal; now neither table can be built.
+        full = SubsetTable(3, np.zeros(7))
+        assert compare_boolean_tables(full, full).equal
+        for array in (np.zeros(1), np.zeros((2, 7))):
+            with pytest.raises(ValueError):
+                compare_boolean_tables(full, SubsetTable(3, array))
 
