@@ -25,6 +25,7 @@ from .core import (
     _enumeration_cap,
     _log,
     _matrix_pair,
+    _mismatch,
     _subset_slices,
     as_index_set,
     as_matrix,
@@ -219,11 +220,10 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
         raise ValueError(f"clan subset {a} must have size between 2 and {n - 2}")
     rows = [i - 1 for i in a]
     cols = [j - 1 for j in complement(a, n)]
-    bound = _check_tol(tol) * max(1.0, float(np.abs(k).max()))
-    upper = k[np.ix_(rows, cols)]
-    lower = k[np.ix_(cols, rows)]
-    if np.abs(upper - np.outer(clan.v, clan.b)).max(initial=0.0) > bound \
-            or np.abs(lower - np.outer(clan.c, clan.w)).max(initial=0.0) > bound:
+    _check_tol(tol)
+    gap = max(np.abs(k[np.ix_(rows, cols)] - np.outer(clan.v, clan.b)).max(initial=0.0),
+              np.abs(k[np.ix_(cols, rows)] - np.outer(clan.c, clan.w)).max(initial=0.0))
+    if _mismatch(gap, np.abs(k).max()) > tol:
         raise ValueError("clan factors do not reproduce the matrix blocks")
     result = k.copy()
     result[np.ix_(rows, rows)] = k[np.ix_(rows, rows)].T
@@ -257,7 +257,7 @@ class Classification:
 
 
 def _is_symmetric(m: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(m - m.T).max() <= tol * max(1.0, float(np.abs(m).max())))
+    return bool(_mismatch(np.abs(m - m.T).max(), np.abs(m).max()) <= tol)
 
 
 def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
@@ -282,10 +282,9 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
         raise ValueError("principal minors differ (first mismatch at subset "
                          f"{verdict.witness}); classification needs a minor-equal pair")
 
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
     sym_a = _is_symmetric(a, tol)
     if sym_a and _is_symmetric(b, tol):
-        if np.abs(a - b).max() <= tol * scale:
+        if _mismatch(np.abs(a - b).max(), np.abs([a, b]).max()) <= tol:
             return Classification(kind="identical")
         return Classification(kind="unresolved")
     if sym_a:
@@ -293,7 +292,7 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
         if witness is not None:
             return Classification(kind="diagonally-similar-to-K", witness=witness)
         return Classification(kind="unresolved")
-    if not is_clan_free(a):
+    if not is_clan_free(a, tol):
         return Classification(kind="clan-obstructed")
     if is_irreducible(a):
         witness = diagonal_similarity_witness(b, a, tol=tol)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .clans import clan_at, find_clans, partial_transpose
-from .core import _check_tol, all_principal_minors, as_index_set, as_matrix
+from .core import _check_tol, _number, all_principal_minors, as_index_set, as_matrix
 from .spectral import (
     as_eta,
     budget_minimize,
@@ -36,14 +36,6 @@ from .spectral import (
 from .structure import atoms, diagonal_similarity_witness
 
 MAX_FILE_DIM = 64
-
-
-def _number(token: str, kind):
-    # int() and float() also read "1_0" as 10 and take non-ASCII digits;
-    # callers turn this ValueError into their own "malformed" message.
-    if "_" in token or not token.isascii():
-        raise ValueError(f"malformed number {token!r}")
-    return kind(token)
 
 
 def parse_matrix(text: str) -> np.ndarray:

@@ -70,7 +70,7 @@ def _enumeration_cap(n: int, default: int = MINOR_ENUMERATION_CAP,
     # the cap, and a dimension above the cap is refused, never truncated.
     raw = os.environ.get("EFFSPEC_MAX_N", str(default))
     try:
-        cap = min(int(raw), HARD_MAX_N)
+        cap = min(_number(raw, int), HARD_MAX_N)
     except ValueError:
         raise ValueError(f"EFFSPEC_MAX_N must be an integer, got {raw!r}") from None
     if cap < 1:
@@ -80,12 +80,29 @@ def _enumeration_cap(n: int, default: int = MINOR_ENUMERATION_CAP,
         raise EnumerationCapError(n, cap, what)
 
 
+def _number(token: str, kind):
+    # int() and float() also read "1_0" as 10 and take non-ASCII digits;
+    # callers turn this ValueError into their own "malformed" message.
+    if "_" in token or not token.isascii():
+        raise ValueError(f"malformed number {token!r}")
+    return kind(token)
+
+
 def _check_tol(tol: float) -> float:
     # NaN fails every comparison and infinity accepts every mismatch, so
     # either would turn a tolerance test into a fixed answer.
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
+
+
+def _mismatch(gap, scale, x=0.0, y=0.0):
+    # The one closeness rule: x and y agree within tol when |x - y| <= tol * max(scale,
+    # |x|, |y|), i.e. _mismatch(|x - y|, scale, x, y) <= tol, with scale the largest entry
+    # magnitude under test (k-th power for a size-k minor); so c * K gets K's answers.
+    reference = np.maximum(scale, np.maximum(np.abs(x), np.abs(y)))
+    with np.errstate(all="ignore"):
+        return np.where(gap == 0, 0.0, gap / reference)
 
 
 def _matrix_pair(K, K2) -> tuple[np.ndarray, np.ndarray]:
@@ -113,8 +130,11 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def as_index_set(alpha, n: int) -> IndexSet:
-    """Normalize ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
-    members = tuple(sorted({int(i) for i in alpha}))
+    """Normalize integral ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
+    given = set(alpha)
+    members = tuple(sorted({int(i) for i in given}))
+    if set(members) != given:
+        raise ValueError(f"index set members must be integers, got {given}")
     if not members:
         raise ValueError("index set must be non-empty")
     if members[0] < 1 or members[-1] > n:
@@ -235,37 +255,15 @@ def all_principal_minors(M) -> SubsetTable:
     return SubsetTable(m.shape[0], _subset_sweep(m, np.linalg.det))
 
 
-def _minor_sums_from_traces(m: np.ndarray) -> np.ndarray:
-    # Newton-identity recursion on power traces p_k = tr(M**k):
-    #   k * e_k = sum_{i=1..k} (-1)**(i-1) * e_{k-i} * p_i
-    # where e_k equals the sum of principal minors of size k.
-    n = m.shape[0]
-    powers = np.empty(n + 1)
-    acc = np.eye(n)
-    for k in range(1, n + 1):
-        acc = acc @ m
-        powers[k] = np.trace(acc)
-    sums = np.zeros(n + 1)
-    sums[0] = 1.0
-    for k in range(1, n + 1):
-        total = 0.0
-        for i in range(1, k + 1):
-            total += (-1.0) ** (i - 1) * sums[k - i] * powers[i]
-        sums[k] = total / k
-    return sums
-
-
 def characteristic_polynomial(M) -> np.ndarray:
     """Characteristic polynomial det(M - t*I) as a coefficient array.
 
     Position k holds the coefficient of t**k; the constant term is det(M)
-    and the leading coefficient is (-1)**n. Computed by the Newton-identity
-    recursion on power traces, which works at any dimension.
+    and the leading coefficient is (-1)**n. Expanded from the eigenvalues,
+    which keeps it accurate at every dimension.
     """
-    sums = _minor_sums_from_traces(as_matrix(M))
-    # Coefficient of t**k is (-1)**k * (sum of minors of size n - k).
-    n = len(sums) - 1
-    return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
+    values = eigenvalues(M)
+    return (-1.0) ** len(values) * np.real(np.poly(values))[::-1]
 
 
 def eigenvalues(M) -> np.ndarray:

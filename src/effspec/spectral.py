@@ -31,6 +31,7 @@ from .core import (
     _enumeration_cap,
     _log,
     _matrix_pair,
+    _mismatch,
     _subset_slices,
     _subset_sweep,
     all_principal_minors,
@@ -64,8 +65,9 @@ class EqualityVerdict:
 
     ``equal`` is True, False, or None for an inconclusive comparison (only
     the guarded signed check produces None). A False verdict always carries
-    the first offending index subset as ``witness``; ``max_discrepancy`` is
-    the largest normalized mismatch seen, comparable against the tolerance.
+    the first offending index subset as ``witness``; ``max_discrepancy`` is the
+    largest |a - b| / max(scale, |a|, |b|) seen, comparable against the tolerance:
+    scale is max|K|**|alpha| for minors and the largest radius for radius tables.
     """
 
     equal: bool | None
@@ -155,10 +157,10 @@ def _subset_at(n: int, position: int) -> IndexSet:
 
 
 def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
-                    tol: float) -> EqualityVerdict:
-    # Mixed criterion |a - b| <= tol * max(1, |a|, |b|), as the values span many
-    # magnitudes. Witness: first offending subset; max_discrepancy: the worst
-    # mismatch. An overflowed (non-finite) value has no mismatch: it fails.
+                    tol: float, scale) -> EqualityVerdict:
+    # The closeness rule of core._mismatch per subset, against ``scale`` (one value,
+    # or one per subset). Witness: first offending subset; max_discrepancy: the
+    # worst mismatch. An overflowed (non-finite) value has no mismatch: it fails.
     _check_tol(tol)
     if table_a.n != table_b.n:
         raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
@@ -168,7 +170,7 @@ def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
         raise ValueError(f"table value for subset {_subset_at(table_a.n, int(broken[0]))} "
                          "is not finite (overflow); the tables cannot be compared")
     with np.errstate(over="ignore"):  # huge opposite values differ by inf, silently
-        mismatch = np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        mismatch = _mismatch(np.abs(a - b), scale, a, b)
     offending = np.flatnonzero(mismatch > tol)
     witness = _subset_at(table_a.n, int(offending[0])) if offending.size else None
     return EqualityVerdict(equal=witness is None, method=method, witness=witness,
@@ -184,8 +186,14 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """
     _check_tol(tol)  # before the tables, which can take seconds to build
     a, b = _matrix_pair(K, K2)
-    return _compare_tables("principal-minors", all_principal_minors(a),
-                           all_principal_minors(b), tol)
+    tables = all_principal_minors(a), all_principal_minors(b)
+    # Size-k minors count against max|K|**k, by repeated multiplication so it scales with K.
+    with np.errstate(over="ignore", under="ignore"):
+        powers = np.cumprod(np.full(len(a), np.abs([a, b]).max()))
+    # Clamped where it overflows, so an overflow can only make the test stricter.
+    scale = np.repeat(np.minimum(powers, np.finfo(float).max),
+                      [math.comb(len(a), k) for k in range(1, len(a) + 1)])
+    return _compare_tables("principal-minors", *tables, tol, scale)
 
 
 def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:
@@ -234,8 +242,9 @@ def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
 
 def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
                            tol: float = EIGENVALUE_TOL) -> EqualityVerdict:
-    """Compare two boolean-grid radius tables subset by subset."""
-    return _compare_tables("boolean-radius-grid", table_a, table_b, tol)
+    """Compare two radius tables subset by subset, at the scale of their largest value."""
+    scale = max(np.abs(table_a.array).max(), np.abs(table_b.array).max())
+    return _compare_tables("boolean-radius-grid", table_a, table_b, tol, scale)
 
 
 def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[IndexSet]]:
@@ -243,8 +252,8 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
 
     The profile zeroing the indices in ``zeroed`` has effective radius
     rho(K[support]), with support the complement of ``zeroed``. Returns the
-    minimal radius and every zeroed set within ``tol * max(1, best)`` of it,
-    in lexicographic order. K must be nonnegative. Capped like the minor
+    minimal radius and every zeroed set within ``tol * max(max|K|, best)`` of
+    it, in lexicographic order. K must be nonnegative. Capped like the minor
     table (default n <= 20). Eigenvalues are only computed where a
     Collatz-Wielandt lower bound on the radius (three power steps from the
     ones vector, shrunk by a relative slack of 1e-6) is within the tolerance
@@ -260,22 +269,23 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     if not 0 <= budget <= n:
         raise ValueError(f"budget must be between 0 and {n}, got {budget}")
     _check_tol(tol)
-    # best only falls and b + tol * max(1, b) grows with b: no skipped profile can tie.
-    best, near, evaluated = math.inf, [], 0
+    # best only falls and b + tol * max(scale, b) grows with b: no skipped profile can tie.
+    scale, best, near, evaluated = np.abs(k).max(), math.inf, [], 0
     for zeroed in _subset_slices(n, budget, (n - budget) ** 2):
         support = _complements(zeroed, n)
         blocks = k[support[:, :, None], support[:, None, :]]
         bounds = _radius_lower_bounds(blocks)
         if best == math.inf:  # seed with the most promising profile
             best = float(_radii(blocks[[bounds.argmin()]])[0])
-        keep = np.flatnonzero(bounds - best <= tol * max(1.0, best))
+        keep = np.flatnonzero(_mismatch(bounds - best, scale, best) <= tol)
         radii = _radii(blocks[keep])
         evaluated += len(keep)
         best = min(best, float(radii.min(initial=math.inf)))
-        close = radii - best <= tol * max(1.0, best)
+        close = _mismatch(radii - best, scale, best) <= tol
         near += zip(radii[close].tolist(), map(tuple, (zeroed[keep[close]] + 1).tolist()))
     _log.debug("budget search: eigvals on %d of %d profiles", evaluated, math.comb(n, budget))
-    return best, [zeroed for radius, zeroed in near if radius - best <= tol * max(1.0, best)]
+    tied = _mismatch(np.array([radius for radius, _ in near]) - best, scale, best) <= tol
+    return best, [zeroed for (_, zeroed), tie in zip(near, tied) if tie]
 
 
 def spectrum_mismatch(values_a, values_b) -> float:
@@ -312,14 +322,15 @@ def spectrum_mismatch(values_a, values_b) -> float:
 
 
 def multisets_match(values_a, values_b, tol: float = EIGENVALUE_TOL) -> bool:
-    """Whether two complex multisets agree within ``tol`` relative to scale.
+    """Whether two complex multisets agree within ``tol`` of their largest modulus.
 
     True is always right; False can be wrong, see :func:`spectrum_mismatch`.
     """
+    _check_tol(tol)
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)), float(np.abs(b).max(initial=0.0)))
-    return spectrum_mismatch(a, b) <= tol * scale
+    scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+    return bool(_mismatch(spectrum_mismatch(a, b), scale) <= tol)
 
 
 def scaling_identities_check(K, eta, eta_eval, tol: float = EIGENVALUE_TOL) -> bool:
@@ -334,6 +345,7 @@ def scaling_identities_check(K, eta, eta_eval, tol: float = EIGENVALUE_TOL) -> b
     effective-spectrum function. Returns True when their spectra, each
     evaluated at ``eta_eval``, agree as multisets within ``tol``.
     """
+    _check_tol(tol)
     k = as_matrix(K)
     if (k < 0).any():
         raise ValueError("scaling identities are stated for nonnegative matrices")

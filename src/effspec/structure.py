@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexSet, _check_tol, _matrix_pair, as_matrix
+from .core import IndexSet, _check_tol, _matrix_pair, _mismatch, as_matrix
 
 __all__ = [
     "Digraph",
@@ -182,7 +182,6 @@ def diagonal_similarity_witness(K, K2, tol: float = 1e-9,
                 frontier.append(int(j))
 
     residual = float(np.abs(a * d[None, :] - d[:, None] * b).max())
-    bound = tol * max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
-    if residual > bound or (d == 0.0).any():
+    if _mismatch(residual, np.abs([a, b]).max()) > tol or (d == 0.0).any():
         return None
     return SimilarityWitness(d=d, residual=residual)

@@ -2,7 +2,7 @@
 
 The oracles stay deliberately independent of the library paths they check:
 characteristic polynomials come from summed principal minors instead of
-the trace recursion, irreducibility and atoms go through Warshall's
+the eigenvalue expansion, irreducibility and atoms go through Warshall's
 closure, one intermediate index at a time, instead of repeated boolean
 squaring, clan detection through explicit 2x2 minors
 instead of elimination, maximal irreducible sets through exhaustive
@@ -98,8 +98,9 @@ def radius_table_by_subset(K):
 
 
 def budget_search_by_profile(K, budget, tol=1e-9):
-    """(best radius, lexicographic ties) over every zeroed set of one size,
-    with one spectral radius per profile on the complement support."""
+    """(best radius, lexicographic ties within tol * max(max|K|, best)) over
+    every zeroed set of one size, with one spectral radius per profile on the
+    complement support."""
     k = np.asarray(K, dtype=float)
     n = k.shape[0]
     results = []
@@ -109,7 +110,7 @@ def budget_search_by_profile(K, budget, tol=1e-9):
         results.append((zeroed, radius))
     best = min(radius for _, radius in results)
     return best, [zeroed for zeroed, radius in results
-                  if radius - best <= tol * max(1.0, abs(best))]
+                  if radius - best <= tol * max(np.abs(k).max(), abs(best))]
 
 
 def rank_le_one_by_minors(block, tol=1e-9):

@@ -9,10 +9,12 @@ from effspec import (
     EnumerationCapError,
     SubsetTable,
     all_principal_minors,
+    as_index_set,
     as_matrix,
     boolean_radius_table,
     budget_minimize,
     characteristic_polynomial,
+    clan_at,
     classify_minor_equal_pair,
     compare_boolean_tables,
     determinant,
@@ -23,6 +25,7 @@ from effspec import (
     is_clan_free,
     minors_equal,
     multisets_match,
+    partial_transpose,
     principal_minor,
     same_effective_family,
     signed_equality_check,
@@ -30,7 +33,7 @@ from effspec import (
     submatrix,
     verify_partial_transpose_invariance,
 )
-from support import characteristic_polynomial_by_minors
+from support import characteristic_polynomial_by_minors, random_clan_instance, random_nonnegative
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -83,6 +86,14 @@ class TestSubmatrix:
         block = submatrix(m, [1, 4], [2, 3, 4])
         assert block.shape == (2, 3)
         assert block[1, 0] == m[3, 1]
+
+    def test_non_integral_indices_rejected(self):
+        # int() would truncate 1.9 to 1 and answer for the wrong subset.
+        assert as_index_set([2.0, 1], 4) == (1, 2)
+        with pytest.raises(ValueError, match="integers"):
+            as_index_set([1.9, 2.2], 4)
+        with pytest.raises(ValueError, match="integers"):
+            principal_minor(np.diag([1.0, 2.0, 3.0]), [1.7])
 
     def test_out_of_range_and_empty(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -150,6 +161,15 @@ class TestCharacteristicPolynomial:
     def test_trace_path_has_no_cap(self):
         coeffs = characteristic_polynomial(np.eye(21))
         assert coeffs[-1] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("n", [10, 16, 20, 32, 64])
+    def test_large_dimensions_match_det_and_trace(self, n):
+        for seed in range(5):
+            m = np.random.default_rng(seed).uniform(0, 1, (n, n))
+            coeffs = characteristic_polynomial(m)
+            assert coeffs[0] == pytest.approx(np.linalg.det(m), rel=1e-10)
+            assert coeffs[n - 1] == pytest.approx((-1.0) ** (n - 1) * np.trace(m), rel=1e-12)
+            assert coeffs[n] == (-1.0) ** n
 
 
 class TestEigenvalues:
@@ -297,9 +317,11 @@ def test_every_sweep_obeys_the_one_enumeration_limit(sweep, monkeypatch):
     with pytest.raises(EnumerationCapError) as info:
         sweep(np.eye(5))
     assert (info.value.n, info.value.cap) == (5, 4)
-    for raw in ("many", "0", "-3"):
+    # "1_0" and Arabic-Indic digits are int() literals but not ASCII decimals.
+    for raw, problem in (("many", "an integer"), ("1_0", "an integer"),
+                         ("\u0661\u0662", "an integer"), ("0", "positive"), ("-3", "positive")):
         monkeypatch.setenv("EFFSPEC_MAX_N", raw)
-        with pytest.raises(ValueError, match="EFFSPEC_MAX_N"):
+        with pytest.raises(ValueError, match=f"EFFSPEC_MAX_N must be {problem}"):
             sweep(np.eye(25))
     # Clamped to the ceiling of 24; n = 31 is refused under any cap <= 30, so
     # a broken clamp fails here instead of starting a 2^25 sweep.
@@ -350,7 +372,7 @@ class TestSubsetTable:
                 assert table[alpha[::-1]] == value
 
     @pytest.mark.parametrize("alpha, message", [((), "non-empty"), ((0, 1), "out of range"),
-                                                ((2, 5), "out of range")])
+                                                ((2, 5), "out of range"), ((1.5, 2), "integers")])
     def test_bad_subsets_rejected(self, alpha, message):
         with pytest.raises(ValueError, match=message):
             self.table()[alpha]
@@ -381,3 +403,63 @@ class TestSubsetTable:
             with pytest.raises(ValueError):
                 compare_boolean_tables(full, SubsetTable(3, array))
 
+
+
+@st.composite
+def pair_to_rescale(draw):
+    """A nonnegative pair: K against its transpose, a diagonal similar of K
+    (symmetric or not), a partial transpose on a planted clan, or K with one
+    entry changed; plus a symmetric sign pattern and a budget."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    relation = draw(st.sampled_from(["transpose", "similarity", "symmetric", "clan", "changed"]))
+    signs = np.triu(rng.choice([-1.0, 1.0], (n, n)))
+    signs += np.triu(signs, 1).T
+    budget = draw(st.integers(0, n))
+    if relation == "clan" and n >= 4:
+        matrix, alpha, *_ = random_clan_instance(rng, n, low=0.1, high=1.1)
+        return matrix, partial_transpose(matrix, clan_at(matrix, alpha)), signs, budget
+    matrix = random_nonnegative(rng, n)
+    if relation == "transpose":
+        return matrix, matrix.T.copy(), signs, budget
+    other = matrix.copy()
+    if relation == "changed":
+        i, j = rng.integers(0, n, 2)
+        other[i, j] = 1.5 * other[i, j] + 0.1
+        return matrix, other, signs, budget
+    if relation == "symmetric":
+        matrix = matrix + matrix.T
+    d = rng.uniform(0.5, 2.0, n)
+    return matrix, d[:, None] * matrix / d[None, :], signs, budget
+
+
+def scale_sensitive_answers(matrix, other, signs, budget, c):
+    # Every answer the closeness rule decides, for the pair rescaled by c; the
+    # budget search's best radius comes back divided by c.
+    a, b = c * matrix, c * other
+    family = same_effective_family(a, b)
+    signed = signed_equality_check(signs * a, signs * b)
+    grid = compare_boolean_tables(boolean_radius_table(a), boolean_radius_table(b))
+    best, ties = budget_minimize(a, budget)
+    witness = diagonal_similarity_witness(a, b)
+    return {"family": (family.equal, family.witness), "signed": (signed.equal, signed.witness),
+            "grid": (grid.equal, grid.witness), "best": best / c, "ties": ties,
+            "similarity": None if witness is None else witness.d.tolist(),
+            "kind": classify_minor_equal_pair(a, b).kind if family.equal else None,
+            "clan_free": is_clan_free(a),
+            "spectra": multisets_match(c * eigenvalues(matrix), c * eigenvalues(other))}
+
+
+class TestScaleInvariance:
+    """Positive rescaling changes none of the paper's relations, so under an
+    exact rescaling by 2**e no verdict, witness, tie list, similarity or
+    classification may change. Only eigvals rounds differently, so the best
+    radius is compared to 1e-12."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_to_rescale(), st.integers(-60, 60))
+    def test_rescaling_keeps_every_answer(self, case, e):
+        before = scale_sensitive_answers(*case, 1.0)
+        after = scale_sensitive_answers(*case, 2.0 ** e)
+        assert after.pop("best") == pytest.approx(before.pop("best"), rel=1e-12)
+        assert after == before

@@ -195,6 +195,10 @@ class TestMinorsEqual:
         table = boolean_radius_table(swap)
         with pytest.raises(ValueError, match="tolerance"):
             compare_boolean_tables(table, table, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            multisets_match([1.0], [2.0], tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            scaling_identities_check(np.ones((2, 2)), [1, 1], [1, 1], tol=tol)
 
     def test_tolerance_checked_before_tables(self, monkeypatch, zero_diag_pair):
         def refuse(*args, **kwargs):
@@ -218,6 +222,14 @@ class TestMinorsEqual:
             minors_equal(a, b)
         with pytest.raises(ValueError, match="not finite"):
             same_effective_family(a, b)
+
+    def test_overflowed_scale_still_separates(self):
+        # max|K|**2 = 2.6e308 overflows while every minor stays finite; an
+        # infinite scale would accept 1.5e308 against -6e307 or 2.7e307.
+        a = [[1.4e154, 0.7e154], [0.7e154, 1.4e154]]
+        for entry in (1.6e154, 1.3e154):
+            verdict = minors_equal(a, [[1.4e154, entry], [entry, 1.4e154]])
+            assert (verdict.equal, verdict.witness) == (False, (1, 2))
 
     def test_non_finite_value_in_either_table_is_named(self):
         finite = SubsetTable(2, [1.0, 1.0, 2.0])
@@ -344,7 +356,7 @@ class TestBudgetMinimize:
 @st.composite
 def separated_budget_case(draw):
     """A nonnegative K and a budget whose optimal profile is unique: every
-    other radius exceeds the best by more than 1e-6 * max(1, best)."""
+    other radius exceeds the best by more than 1e-6 * max(max|K|, best)."""
     n = draw(st.integers(3, 7))
     budget = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
@@ -371,9 +383,7 @@ class TestBudgetInvariance:
         relabelled = tuple(i + 1 for i in range(len(p)) if p[i] + 1 in zeroed)
         assert budget_minimize(matrix[np.ix_(p, p)], budget)[1] == [relabelled]
         assert budget_minimize(matrix.T, budget)[1] == [zeroed]
-        # The tie window tol * max(1, best) is absolute below 1, so the
-        # rescaled search keeps exact ties only.
-        scaled_best, scaled_ties = budget_minimize(2.0 ** e * matrix, budget, tol=0.0)
+        scaled_best, scaled_ties = budget_minimize(2.0 ** e * matrix, budget)
         assert scaled_ties == [zeroed]
         assert scaled_best == pytest.approx(best * 2.0 ** e, rel=1e-12)
 
