@@ -235,13 +235,17 @@ def _complements(chosen: np.ndarray, n: int) -> np.ndarray:
     return np.nonzero(free)[1].reshape(len(chosen), -1)
 
 
-def _subset_sweep(m: np.ndarray, batch) -> np.ndarray:
-    # Values in index_sets order: singletons off the diagonal, one batched call
-    # per slice of larger sizes. Singular blocks and overflows are answers.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.concatenate([m.diagonal()] + [
-            batch(m[chosen[:, :, None], chosen[:, None, :]]) for size in range(2, len(m) + 1)
-            for chosen in _subset_slices(len(m), size, size * size)])
+def _subset_sweep(m: np.ndarray, batch):
+    # (size, values) per slice in index_sets order, of a matrix or a stack of them: singletons
+    # off the diagonal (det would go through a logarithm), then one batched call per slice.
+    # Singular blocks and overflows are answers; errstate spanning a yield would leak out.
+    n, depth = m.shape[-1], math.prod(m.shape[:-2])
+    yield 1, m.diagonal(0, -2, -1)
+    for size in range(2, n + 1):
+        for chosen in _subset_slices(n, size, depth * size * size):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                values = batch(m[..., chosen[:, :, None], chosen[:, None, :]])
+            yield size, values
 
 
 def all_principal_minors(M) -> SubsetTable:
@@ -252,7 +256,7 @@ def all_principal_minors(M) -> SubsetTable:
     """
     m = as_matrix(M)
     _enumeration_cap(m.shape[0])
-    return SubsetTable(m.shape[0], _subset_sweep(m, np.linalg.det))
+    return SubsetTable(len(m), np.concatenate([v for _, v in _subset_sweep(m, np.linalg.det)]))
 
 
 def characteristic_polynomial(M) -> np.ndarray:

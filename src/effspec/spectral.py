@@ -34,7 +34,6 @@ from .core import (
     _mismatch,
     _subset_slices,
     _subset_sweep,
-    all_principal_minors,
     as_matrix,
     eigenvalues,
     index_sets,
@@ -64,10 +63,10 @@ class EqualityVerdict:
     """Outcome of an equality test between two matrices.
 
     ``equal`` is True, False, or None for an inconclusive comparison (only
-    the guarded signed check produces None). A False verdict always carries
-    the first offending index subset as ``witness``; ``max_discrepancy`` is the
-    largest |a - b| / max(scale, |a|, |b|) seen, comparable against the tolerance:
-    scale is max|K|**|alpha| for minors and the largest radius for radius tables.
+    the guarded signed check produces None). A False verdict carries the first
+    offending subset, where the comparison stops, as ``witness``; ``max_discrepancy``
+    is the largest |a - b| / max(scale, |a|, |b|) over the subsets compared, against
+    the tolerance: scale is max|K|**|alpha| for minors, the largest radius for radii.
     """
 
     equal: bool | None
@@ -125,7 +124,7 @@ def boolean_radius_table(K) -> SubsetTable:
     k = as_matrix(K)
     _enumeration_cap(k.shape[0], what="boolean-grid radius sweep")
     # abs turns the diagonal singletons into their radii and keeps the rest.
-    return SubsetTable(k.shape[0], np.abs(_subset_sweep(k, _radii)))
+    return SubsetTable(len(k), np.abs(np.concatenate([v for _, v in _subset_sweep(k, _radii)])))
 
 
 def _radii(blocks: np.ndarray) -> np.ndarray:
@@ -156,25 +155,26 @@ def _subset_at(n: int, position: int) -> IndexSet:
     return next(itertools.islice(index_sets(n), position, None))
 
 
-def _compare_tables(method: str, table_a: SubsetTable, table_b: SubsetTable,
-                    tol: float, scale) -> EqualityVerdict:
-    # The closeness rule of core._mismatch per subset, against ``scale`` (one value,
-    # or one per subset). Witness: first offending subset; max_discrepancy: the
-    # worst mismatch. An overflowed (non-finite) value has no mismatch: it fails.
+def _compare(method: str, n: int, slices, tol: float) -> EqualityVerdict:
+    # core._mismatch per subset, over slices (values_a, values_b, scale) in index_sets order.
+    # A subset offends unless mismatch <= tol, which a non-finite value never is. The first
+    # one ends the comparison: it raises if a value is not finite, else it is the witness.
     _check_tol(tol)
-    if table_a.n != table_b.n:
-        raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
-    a, b = table_a.array, table_b.array
-    broken = np.flatnonzero(~(np.isfinite(a) & np.isfinite(b)))
-    if broken.size:
-        raise ValueError(f"table value for subset {_subset_at(table_a.n, int(broken[0]))} "
-                         "is not finite (overflow); the tables cannot be compared")
-    with np.errstate(over="ignore"):  # huge opposite values differ by inf, silently
-        mismatch = _mismatch(np.abs(a - b), scale, a, b)
-    offending = np.flatnonzero(mismatch > tol)
-    witness = _subset_at(table_a.n, int(offending[0])) if offending.size else None
-    return EqualityVerdict(equal=witness is None, method=method, witness=witness,
-                           max_discrepancy=float(mismatch.max()))
+    compared, worst = 0, 0.0
+    for a, b, scale in slices:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, silently
+            mismatch = _mismatch(np.abs(a - b), scale, a, b)
+        offending = np.flatnonzero(~(mismatch <= tol))
+        if offending.size:
+            first = int(offending[0])
+            witness = _subset_at(n, compared + first)
+            if not (np.isfinite(a[first]) and np.isfinite(b[first])):
+                raise ValueError(f"table value for subset {witness} is not finite (overflow); "
+                                 "the tables cannot be compared")
+            return EqualityVerdict(equal=False, method=method, witness=witness,
+                                   max_discrepancy=max(worst, float(mismatch[:first + 1].max())))
+        compared, worst = compared + len(mismatch), max(worst, float(mismatch.max()))
+    return EqualityVerdict(equal=True, method=method, max_discrepancy=worst)
 
 
 def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
@@ -182,18 +182,19 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
 
     This is the complete finite invariant for equality of effective spectra
     of nonnegative matrices, and it implies that equality for matrices of
-    any sign pattern.
+    any sign pattern. The joint sweep stops at the first differing minor and builds no table.
     """
-    _check_tol(tol)  # before the tables, which can take seconds to build
+    _check_tol(tol)  # before the sweep, which can take seconds
     a, b = _matrix_pair(K, K2)
-    tables = all_principal_minors(a), all_principal_minors(b)
+    _enumeration_cap(len(a))
     # Size-k minors count against max|K|**k, by repeated multiplication so it scales with K.
     with np.errstate(over="ignore", under="ignore"):
         powers = np.cumprod(np.full(len(a), np.abs([a, b]).max()))
     # Clamped where it overflows, so an overflow can only make the test stricter.
-    scale = np.repeat(np.minimum(powers, np.finfo(float).max),
-                      [math.comb(len(a), k) for k in range(1, len(a) + 1)])
-    return _compare_tables("principal-minors", *tables, tol, scale)
+    scale = np.minimum(powers, np.finfo(float).max)
+    slices = ((values_a, values_b, scale[size - 1]) for size, (values_a, values_b)
+              in _subset_sweep(np.stack([a, b]), np.linalg.det))
+    return _compare("principal-minors", len(a), slices, tol)
 
 
 def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:
@@ -243,8 +244,12 @@ def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
 def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
                            tol: float = EIGENVALUE_TOL) -> EqualityVerdict:
     """Compare two radius tables subset by subset, at the scale of their largest value."""
-    scale = max(np.abs(table_a.array).max(), np.abs(table_b.array).max())
-    return _compare_tables("boolean-radius-grid", table_a, table_b, tol, scale)
+    if table_a.n != table_b.n:
+        raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
+    a, b = table_a.array, table_b.array
+    # fmax skips NaN: a NaN scale would make every gap before the broken value offend.
+    scale = np.fmax.reduce(np.abs([a, b]), axis=None)
+    return _compare("boolean-radius-grid", table_a.n, [(a, b, scale)], tol)
 
 
 def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[IndexSet]]:

@@ -153,6 +153,7 @@ def diagonal_similarity_witness(K, K2, tol: float = 1e-9,
     pattern graph, propagating ratios along a spanning tree in either edge
     orientation, then verifying all edges; absent when verification fails.
     For nonnegative matrices the returned scaling is automatically positive.
+    Raises ValueError where the scaling leaves the float range: similarity is undecided.
     """
     _check_tol(tol)
     a, b = _matrix_pair(K, K2)
@@ -164,24 +165,23 @@ def diagonal_similarity_witness(K, K2, tol: float = 1e-9,
         return None
 
     neighbors = mask_a | mask_a.T
-    d = np.zeros(n)
-    for root in range(n):
-        if d[root] != 0.0:
-            continue
-        d[root] = 1.0
-        frontier = [root]
-        while frontier:
-            i = frontier.pop()
-            for j in np.nonzero(neighbors[i])[0]:
-                if d[j] != 0.0:
-                    continue
-                if mask_a[i, j]:
-                    d[j] = d[i] * b[i, j] / a[i, j]
-                else:
-                    d[j] = d[i] * a[j, i] / b[j, i]
-                frontier.append(int(j))
-
-    residual = float(np.abs(a * d[None, :] - d[:, None] * b).max())
-    if _mismatch(residual, np.abs([a, b]).max()) > tol or (d == 0.0).any():
+    d = np.full(n, np.nan)  # NaN until reached, so an underflow to 0 is kept, not redone
+    with np.errstate(all="ignore"):  # a scaling out of the float range is refused below
+        for root in range(n):
+            if not np.isnan(d[root]):
+                continue
+            d[root] = 1.0
+            frontier = [root]
+            while frontier:
+                i = frontier.pop()
+                for j in np.nonzero(neighbors[i])[0]:
+                    if not np.isnan(d[j]):
+                        continue
+                    d[j] = d[i] * b[i, j] / a[i, j] if mask_a[i, j] else d[i] * a[j, i] / b[j, i]
+                    frontier.append(int(j))
+        residual = float(np.abs(a * d[None, :] - d[:, None] * b).max())
+    if not (np.isfinite(d) & (np.abs(d) >= np.finfo(float).tiny)).all() or np.isnan(residual):
+        raise ValueError("similarity cannot be decided: the scaling leaves the float range")
+    if not _mismatch(residual, np.abs([a, b]).max()) <= tol:
         return None
     return SimilarityWitness(d=d, residual=residual)

@@ -8,11 +8,14 @@ squaring, clan detection through explicit 2x2 minors
 instead of elimination, maximal irreducible sets through exhaustive
 subset enumeration, subset tables and the budget search through one LU or
 eigenvalue call per subset instead of one batched call per slice of
-subsets, and rank-1 fits and the clan scan through one pivot search per
-block instead of one batched fit per slice.
+subsets, minor-equality verdicts through two whole tables instead of one
+joint sweep that stops at the first mismatch, and rank-1 fits and the clan
+scan through one pivot search per block instead of one batched fit per slice.
 """
 
 import itertools
+import math
+import sys
 
 import numpy as np
 
@@ -87,6 +90,29 @@ def minor_table_by_lu(M):
             else:
                 values.append(float(np.linalg.det(submatrix(m, alpha, alpha))))
     return np.array(values)
+
+
+def minor_comparison_by_tables(K, K2, tol=1e-9):
+    """(equal, witness, max_discrepancy) from the two whole minor_table_by_lu
+    tables of K and K2, finite ones.
+
+    A size-k subset offends when |x - y| > tol * max(scale, |x|, |y|), with
+    scale the k-th power of the largest entry magnitude of either matrix (by
+    repeated multiplication, clamped to the largest float). The witness is the
+    first offending subset in index_sets order, and max_discrepancy the largest
+    |x - y| / max(scale, |x|, |y|) up to it, or over every subset if none offends.
+    """
+    top = float(max(np.abs(K).max(), np.abs(K2).max()))
+    worst = 0.0
+    rows = zip(index_sets(len(K)), minor_table_by_lu(K).tolist(), minor_table_by_lu(K2).tolist())
+    for alpha, x, y in rows:
+        scale = min(math.prod([top] * len(alpha)), sys.float_info.max)
+        gap = abs(x - y)
+        discrepancy = gap / max(scale, abs(x), abs(y)) if gap else 0.0
+        worst = max(worst, discrepancy)
+        if discrepancy > tol:
+            return False, alpha, worst
+    return True, None, worst
 
 
 def radius_table_by_subset(K):

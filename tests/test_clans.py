@@ -168,6 +168,15 @@ class TestPartialTranspose:
         with pytest.raises(ValueError, match="tolerance"):
             partial_transpose(matrix, clan_at(matrix, (1, 2)), tol=tol)
 
+    @pytest.mark.parametrize("factor", ["v", "b", "c", "w"])
+    def test_nan_factors_rejected(self, factor):
+        # A NaN gap fails every "> tol" test; it must fail the re-verification instead.
+        matrix, alpha, v, b, c, w = random_clan_instance(np.random.default_rng(66), 6, 3)
+        factors = {"v": v, "b": b, "c": c, "w": w}
+        factors[factor] = np.full_like(factors[factor], np.nan)
+        with pytest.raises(ValueError, match="do not reproduce"):
+            partial_transpose(matrix, Clan(alpha=alpha, **factors))
+
     def test_equal_factor_vectors_transpose_diagonal_block_only(self):
         rng = np.random.default_rng(67)
         shared = rng.uniform(-1, 1, 2)

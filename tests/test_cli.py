@@ -184,6 +184,15 @@ class TestCompare:
         assert "subset (1, 2) is not finite" in captured.err
         assert "RuntimeWarning" not in captured.err
 
+    def test_mismatch_before_an_overflow_is_a_verdict(self, tmp_path, capsys):
+        # The 1x1 minors differ; b's 2x2 minor (1e320) overflows only after them.
+        a = write(tmp_path, "a.txt", [[1e160, 1e160], [1e160, 1e160]])
+        b = write(tmp_path, "b.txt", [[2e160, 1e160], [1e160, 1e160]])
+        assert main(["compare", a, b]) == 1
+        captured = capsys.readouterr()
+        assert "verdict: not-equal\nwitness: {1}\nmax_discrepancy: 0.5\n" in captured.out
+        assert captured.err == ""
+
 
 class TestTableCommands:
     def test_minors_lists_all_subsets(self, swap_file, capsys):
@@ -262,6 +271,37 @@ class TestDiagsimCommand:
         a = write(tmp_path, "a.txt", [[0.0, 1.0], [1.0, 0.0]])
         b = write(tmp_path, "b.txt", [[0.0, 2.0], [2.0, 0.0]])
         assert main(["diagsim", a, b]) == 1
+
+    def test_scaling_out_of_float_range_is_usage_error(self, tmp_path, capsys):
+        # I plus 1e-11 above and 1 below the diagonal, against its mirror: similar with
+        # d_i = 1e11**(i - 1), which passes the largest float before i = 32.
+        n = 32
+        chain = np.eye(n) + np.diag(np.full(n - 1, 1e-11), 1) + np.diag(np.ones(n - 1), -1)
+        a = write(tmp_path, "a.txt", chain)
+        b = write(tmp_path, "b.txt", chain.T)
+        assert main(["diagsim", a, b, "--json-lines"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "similarity cannot be decided" in captured.err
+        assert "RuntimeWarning" not in captured.err
+
+    def test_scaling_underflow_ends(self, tmp_path):
+        # The files swapped: d_i = 1e-11**(i - 1) underflows to 0 at i = 31 and 32. With 0
+        # as the "not reached yet" mark, those two re-reached each other without end, so
+        # the CLI runs in a child that a timeout can stop.
+        n = 32
+        chain = np.eye(n) + np.diag(np.full(n - 1, 1e-11), 1) + np.diag(np.ones(n - 1), -1)
+        a = write(tmp_path, "a.txt", chain)
+        b = write(tmp_path, "b.txt", chain.T)
+        child = run_cli(["diagsim", b, a], False, stdout=subprocess.PIPE,
+                        stderr=subprocess.PIPE, text=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert (child.returncode, out) == (64, "")
+        assert "similarity cannot be decided" in err
 
 
 class TestMinimizeCommand:

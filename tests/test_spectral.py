@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from effspec import (
     submatrix,
 )
 import effspec
-from effspec import spectral
+from effspec import core, spectral
 from support import bottleneck_by_permutation, budget_search_by_profile, random_nonnegative
 
 
@@ -202,9 +203,9 @@ class TestMinorsEqual:
 
     def test_tolerance_checked_before_tables(self, monkeypatch, zero_diag_pair):
         def refuse(*args, **kwargs):
-            raise AssertionError("a minor table was built for a bad tolerance")
+            raise AssertionError("a minor sweep was started for a bad tolerance")
 
-        monkeypatch.setattr(spectral, "all_principal_minors", refuse)
+        monkeypatch.setattr(spectral, "_subset_sweep", refuse)
         with pytest.raises(ValueError, match="tolerance"):
             minors_equal(np.eye(14), np.eye(14), tol=np.nan)
         # The guard fails on this pair (two zero diagonal entries), which
@@ -223,6 +224,42 @@ class TestMinorsEqual:
         with pytest.raises(ValueError, match="not finite"):
             same_effective_family(a, b)
 
+    def test_mismatch_before_an_overflow_is_the_witness(self):
+        # (1,) differs by half its scale, and only later does b's 2x2 minor, 1e320,
+        # overflow: the comparison has stopped at a valid witness by then.
+        a = [[1e160, 1e160], [1e160, 1e160]]
+        b = [[2e160, 1e160], [1e160, 1e160]]
+        verdict = minors_equal(a, b)
+        assert (verdict.equal, verdict.witness, verdict.max_discrepancy) == (False, (1,), 0.5)
+
+    def test_unequal_pair_stops_at_its_witness(self, monkeypatch):
+        sizes = []
+
+        def recording(m, batch):
+            for size, values in core._subset_sweep(m, batch):
+                sizes.append(size)
+                yield size, values
+
+        monkeypatch.setattr(spectral, "_subset_sweep", recording)
+        matrix = np.random.default_rng(16).uniform(0.1, 1.1, (16, 16))
+        changed = matrix.copy()
+        changed[0, 1] *= 1.1
+        verdict = minors_equal(matrix, changed)
+        assert (verdict.equal, verdict.witness) == (False, (1, 2))
+        assert sizes and max(sizes) == 2
+
+    def test_equal_pair_holds_slices_not_tables(self):
+        # Two tables of the 65535 minors at n = 16 and a scale per subset take 1.5 MiB
+        # alone; a slice of stacked blocks stays within core._SLICE_BYTES, 1 MiB.
+        matrix = np.random.default_rng(17).uniform(0.1, 1.1, (16, 16))
+        tracemalloc.start()
+        try:
+            assert minors_equal(matrix, matrix.T).equal
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+
     def test_overflowed_scale_still_separates(self):
         # max|K|**2 = 2.6e308 overflows while every minor stays finite; an
         # infinite scale would accept 1.5e308 against -6e307 or 2.7e307.
@@ -234,6 +271,15 @@ class TestMinorsEqual:
     def test_non_finite_value_in_either_table_is_named(self):
         finite = SubsetTable(2, [1.0, 1.0, 2.0])
         broken = SubsetTable(2, [1.0, np.nan, np.inf])
+        for a, b in ((finite, broken), (broken, finite)):
+            with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+                compare_boolean_tables(a, b)
+
+    def test_nan_in_a_table_leaves_the_scale_finite(self):
+        # A NaN scale would make (1,)'s rounding-sized gap offend and read as a witness;
+        # the comparison must pass it and name the NaN at (2,).
+        finite = SubsetTable(2, [1.0, 1.0, 2.0])
+        broken = SubsetTable(2, [1.0 + 1e-12, np.nan, 2.0])
         for a, b in ((finite, broken), (broken, finite)):
             with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
                 compare_boolean_tables(a, b)

@@ -250,6 +250,17 @@ class TestDiagonalSimilarityWitness:
         with pytest.raises(ValueError, match="tolerance"):
             diagonal_similarity_witness([[1, 1], [1, 1]], [[1, 5], [1, 1]], tol=tol)
 
+    def test_scaling_out_of_float_range_is_refused(self):
+        # Not similar (cycle products 1e-200 and 1e200), but d = (1, 1e400) overflows,
+        # and an infinite d made a NaN residual that read as within tolerance.
+        with pytest.raises(ValueError, match="float range"):
+            diagonal_similarity_witness([[0, 1e-200], [1, 0]], [[0, 1e200], [1, 0]],
+                                        pattern_tol=0)
+        # d = (1, 1e20) is in range, but both products at (2, 2) overflow: NaN residual.
+        with pytest.raises(ValueError, match="float range"):
+            diagonal_similarity_witness([[1, 1e-10], [1, 1e300]], [[1, 1e10], [1, 1e300]],
+                                        pattern_tol=0)
+
     def test_positive_for_nonnegative_inputs(self):
         rng = np.random.default_rng(56)
         base = random_nonnegative(rng, 6, density=0.5)

@@ -7,7 +7,9 @@ run the same arithmetic on the same block, so the results must agree bit
 for bit, not just within a tolerance. So must the results of a sweep cut
 into slices of one subset each, and those of the budget search, which
 computes eigenvalues only where its radius lower bound cannot rule a
-profile out, on inputs built to defeat that bound.
+profile out, on inputs built to defeat that bound. The minor-equality verdict
+sweeps both matrices together and stops at the first mismatch; its verdict,
+witness and max_discrepancy must be those of comparing two whole tables.
 """
 
 from math import comb
@@ -22,12 +24,14 @@ from effspec import (
     budget_minimize,
     clan_at,
     find_clans,
+    minors_equal,
     rank1_factor,
 )
 from effspec import core
 from support import (
     budget_search_by_profile,
     clan_scan_by_subset,
+    minor_comparison_by_tables,
     minor_table_by_lu,
     radius_table_by_subset,
     random_clan_instance,
@@ -68,6 +72,48 @@ def test_minor_table_matches_lu_oracle(kind, n):
 def test_radius_table_matches_per_subset_oracle(kind, n):
     matrix = make(kind, n)
     assert np.array_equal(boolean_radius_table(matrix).array, radius_table_by_subset(matrix))
+
+
+def verdicts(pairs, tol):
+    return [(v.equal, v.witness, v.max_discrepancy)
+            for v in (minors_equal(a, b, tol=tol) for a, b in pairs)]
+
+
+@pytest.mark.parametrize("kind, n", CASES, ids=IDS)
+def test_minor_comparison_matches_whole_table_oracle(kind, n, monkeypatch):
+    # Against its transpose, a diagonal similarity of itself and a copy with one entry
+    # moved by 1e-3 or 1e-10: equal, or first mismatched at some size, under tolerances
+    # that let rounding through (1e-9) or not (0).
+    rng = np.random.default_rng([n, KINDS.index(kind), 2])
+    matrix = kind(rng, n)
+    d = rng.uniform(0.5, 2.0, n)
+    pairs = [(matrix, matrix.T), (matrix, d[:, None] * matrix / d)]
+    for step in (1e-3, 1e-10):
+        moved = matrix.copy()
+        moved[tuple(rng.integers(0, n, 2))] += step
+        pairs.append((matrix, moved))
+    tols = (0.0, 1e-12, 1e-9)
+    expected = [[minor_comparison_by_tables(a, b, tol) for a, b in pairs] for tol in tols]
+    assert [verdicts(pairs, tol) for tol in tols] == expected
+    monkeypatch.setattr(core, "_SLICE_BYTES", 1)
+    assert [verdicts(pairs, tol) for tol in tols] == expected
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_first_mismatch_planted_at_every_size(k, monkeypatch):
+    # Lower bidiagonal K and K plus one entry at (1, k): a term of det(K2[S]) holding
+    # that entry runs the subdiagonal path k, k - 1, ..., 1, so only the minors of the
+    # subsets that contain all of 1..k change, and the first of them is (1, ..., k).
+    rng = np.random.default_rng([k, 3])
+    n = 9
+    matrix = np.diag(rng.uniform(0.5, 1.5, n)) + np.diag(rng.uniform(0.5, 1.5, n - 1), -1)
+    planted = matrix.copy()
+    planted[0, k - 1] += 1.0
+    expected = minor_comparison_by_tables(matrix, planted)
+    assert expected[:2] == (False, tuple(range(1, k + 1)))
+    assert verdicts([(matrix, planted)], 1e-9) == [expected]
+    monkeypatch.setattr(core, "_SLICE_BYTES", 1)
+    assert verdicts([(matrix, planted)], 1e-9) == [expected]
 
 
 @pytest.mark.parametrize("kind, n", CASES, ids=IDS)
