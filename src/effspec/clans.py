@@ -116,7 +116,7 @@ def _rank1_fit(blocks: np.ndarray, tol: float):
     return u, v, (row[..., 0], col[..., 0]), residual, fits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == would need one truth value of an array
 class Clan:
     """A clan subset together with rank-1 factors of its two blocks.
 

@@ -191,6 +191,8 @@ class SubsetTable:
     order of :func:`index_sets`; ``values`` is a read-only mapping from
     1-based index tuples to the same values in the same order. A minor
     table stores det(K[alpha]), a boolean radius table rho(K[alpha]).
+    A table refuses a non-finite value, naming its subset, so no comparison
+    ever meets a number outside the float range.
     """
 
     n: int
@@ -202,6 +204,9 @@ class SubsetTable:
         if type(self.n) is not int or self.n < 1 or array.shape != (2 ** self.n - 1,):
             raise ValueError("a subset table needs an integer n >= 1 and 2**n - 1 values, "
                              f"got n={self.n!r} and shape {array.shape}")
+        if not np.isfinite(array).all():
+            witness = _subset_at(self.n, int(np.flatnonzero(~np.isfinite(array))[0]))
+            raise ValueError(f"table value for subset {witness} is not finite (overflow)")
         object.__setattr__(self, "array", array)
         self.array.flags.writeable = False
 
@@ -217,6 +222,10 @@ class SubsetTable:
 
     def __len__(self) -> int:
         return len(self.array)
+
+
+def _subset_at(n: int, position: int) -> IndexSet:
+    return next(itertools.islice(index_sets(n), position, None))
 
 
 def _subset_slices(n: int, size: int, cells: int):
@@ -275,10 +284,13 @@ def eigenvalues(M) -> np.ndarray:
 
     Computed by the dense nonsymmetric solver (Hessenberg reduction plus
     implicitly shifted QR iteration). Raises ``numpy.linalg.LinAlgError``
-    if the iteration fails to converge; complex eigenvalues of real input
-    come in conjugate pairs.
+    if the iteration fails to converge, and ValueError if an eigenvalue leaves
+    the float range; complex eigenvalues of real input come in conjugate pairs.
     """
-    return np.linalg.eigvals(as_matrix(M))
+    values = np.linalg.eigvals(as_matrix(M))
+    if not np.isfinite(values).all():
+        raise ValueError("eigenvalues are not finite (overflow)")
+    return values
 
 
 def spectral_radius(M) -> float:

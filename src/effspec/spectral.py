@@ -16,7 +16,6 @@ The budget search finds the boolean profiles with a fixed number of zeroed
 indices that minimize the effective radius.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,11 +31,11 @@ from .core import (
     _log,
     _matrix_pair,
     _mismatch,
+    _subset_at,
     _subset_slices,
     _subset_sweep,
     as_matrix,
     eigenvalues,
-    index_sets,
     spectral_radius,
 )
 
@@ -66,7 +65,8 @@ class EqualityVerdict:
     the guarded signed check produces None). A False verdict carries the first
     offending subset, where the comparison stops, as ``witness``; ``max_discrepancy``
     is the largest |a - b| / max(scale, |a|, |b|) over the subsets compared, against
-    the tolerance: scale is max|K|**|alpha| for minors, the largest radius for radii.
+    the tolerance: scale is max|K|**|alpha| for minors (of the pair normalized by a
+    power of two, see :func:`minors_equal`), the largest radius for radii.
     """
 
     equal: bool | None
@@ -98,18 +98,25 @@ def is_boolean_eta(eta) -> bool:
     return bool(np.isin(e, (0.0, 1.0)).all())
 
 
-def effective_radius(K, eta) -> float:
-    """Spectral radius of K @ diag(eta). Zero eta gives 0."""
+def _scaled(K, eta) -> np.ndarray:
+    # K @ diag(eta), refused where a product leaves the float range.
     k = as_matrix(K)
     e = as_eta(eta, k.shape[0])
-    return spectral_radius(k * e)
+    with np.errstate(over="ignore"):
+        product = k * e
+    if not np.isfinite(product).all():
+        raise ValueError("K @ diag(eta) leaves the float range")
+    return product
+
+
+def effective_radius(K, eta) -> float:
+    """Spectral radius of K @ diag(eta). Zero eta gives 0."""
+    return spectral_radius(_scaled(K, eta))
 
 
 def effective_spectrum(K, eta) -> np.ndarray:
     """Eigenvalue multiset of K @ diag(eta), as a complex array."""
-    k = as_matrix(K)
-    e = as_eta(eta, k.shape[0])
-    return eigenvalues(k * e)
+    return eigenvalues(_scaled(K, eta))
 
 
 def boolean_radius_table(K) -> SubsetTable:
@@ -151,26 +158,18 @@ def _radius_lower_bounds(blocks: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(bounds), bounds, 0.0)
 
 
-def _subset_at(n: int, position: int) -> IndexSet:
-    return next(itertools.islice(index_sets(n), position, None))
-
-
 def _compare(method: str, n: int, slices, tol: float) -> EqualityVerdict:
-    # core._mismatch per subset, over slices (values_a, values_b, scale) in index_sets order.
-    # A subset offends unless mismatch <= tol, which a non-finite value never is. The first
-    # one ends the comparison: it raises if a value is not finite, else it is the witness.
+    # core._mismatch per subset, over slices (values_a, values_b, scale) of finite values in
+    # index_sets order. A subset offends unless mismatch <= tol; the first one is the witness.
     _check_tol(tol)
     compared, worst = 0, 0.0
     for a, b, scale in slices:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, silently
+        with np.errstate(over="ignore"):  # finite values of opposite sign can still overflow
             mismatch = _mismatch(np.abs(a - b), scale, a, b)
         offending = np.flatnonzero(~(mismatch <= tol))
         if offending.size:
             first = int(offending[0])
             witness = _subset_at(n, compared + first)
-            if not (np.isfinite(a[first]) and np.isfinite(b[first])):
-                raise ValueError(f"table value for subset {witness} is not finite (overflow); "
-                                 "the tables cannot be compared")
             return EqualityVerdict(equal=False, method=method, witness=witness,
                                    max_discrepancy=max(worst, float(mismatch[:first + 1].max())))
         compared, worst = compared + len(mismatch), max(worst, float(mismatch.max()))
@@ -183,17 +182,22 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     This is the complete finite invariant for equality of effective spectra
     of nonnegative matrices, and it implies that equality for matrices of
     any sign pattern. The joint sweep stops at the first differing minor and builds no table.
+    It compares the pair multiplied by the one power of two that brings max|K| into
+    [2**-32, 2**32), so no minor leaves the float range and c * K gets K's verdict.
     """
     _check_tol(tol)  # before the sweep, which can take seconds
     a, b = _matrix_pair(K, K2)
     _enumeration_cap(len(a))
+    # One exact power of two brings max|K| into [2**-32, 2**32) and leaves a pair already
+    # there untouched (det goes through a logarithm, so a rescaled minor would differ in its
+    # last bits). In the band, with n <= HARD_MAX_N = 24, Hadamard's inequality bounds every
+    # minor by (sqrt(24) * 2**32)**24 < 2**824, and max|K|**k stays within 2**-768..2**768.
+    exponent = np.frexp(np.abs([a, b]).max())[1]
+    pair = np.ldexp(np.stack([a, b]), np.clip(exponent, -31, 32) - exponent)
     # Size-k minors count against max|K|**k, by repeated multiplication so it scales with K.
-    with np.errstate(over="ignore", under="ignore"):
-        powers = np.cumprod(np.full(len(a), np.abs([a, b]).max()))
-    # Clamped where it overflows, so an overflow can only make the test stricter.
-    scale = np.minimum(powers, np.finfo(float).max)
+    scale = np.cumprod(np.full(len(a), np.abs(pair).max()))
     slices = ((values_a, values_b, scale[size - 1]) for size, (values_a, values_b)
-              in _subset_sweep(np.stack([a, b]), np.linalg.det))
+              in _subset_sweep(pair, np.linalg.det))
     return _compare("principal-minors", len(a), slices, tol)
 
 
@@ -247,9 +251,7 @@ def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
     if table_a.n != table_b.n:
         raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
     a, b = table_a.array, table_b.array
-    # fmax skips NaN: a NaN scale would make every gap before the broken value offend.
-    scale = np.fmax.reduce(np.abs([a, b]), axis=None)
-    return _compare("boolean-radius-grid", table_a.n, [(a, b, scale)], tol)
+    return _compare("boolean-radius-grid", table_a.n, [(a, b, np.abs([a, b]).max())], tol)
 
 
 def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[IndexSet]]:
@@ -264,7 +266,7 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     ones vector, shrunk by a relative slack of 1e-6) is within the tolerance
     of the best radius so far. The result is that of evaluating all
     C(n, budget) profiles unless eigvals misstates a skipped profile's radius
-    by more than the slack.
+    by more than the slack. An optimal radius that is not finite is refused.
     """
     k = as_matrix(K)
     if (k < 0).any():
@@ -289,6 +291,8 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
         close = _mismatch(radii - best, scale, best) <= tol
         near += zip(radii[close].tolist(), map(tuple, (zeroed[keep[close]] + 1).tolist()))
     _log.debug("budget search: eigvals on %d of %d profiles", evaluated, math.comb(n, budget))
+    if not math.isfinite(best):
+        raise ValueError("the optimal radius is not finite (overflow)")
     tied = _mismatch(np.array([radius for radius, _ in near]) - best, scale, best) <= tol
     return best, [zeroed for (_, zeroed), tie in zip(near, tied) if tie]
 
@@ -300,15 +304,19 @@ def spectrum_mismatch(values_a, values_b) -> float:
     repeatedly pairing the two closest unmatched values. The value never
     falls below the optimal bottleneck distance but can exceed it: [0, 1.1]
     against [1.0, 2.2] gives 2.2, not 1.1. Returns infinity for multisets
-    of different sizes.
+    of different sizes. Refuses non-finite values.
     """
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
+    # A NaN distance would never be the worst one, so it would read as agreement.
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("multiset values must be finite")
     if a.shape != b.shape:
         return float("inf")
     if a.size == 0:
         return 0.0
-    dist = np.abs(a[:, None] - b[None, :])
+    with np.errstate(over="ignore"):  # an infinite distance is correctly far apart
+        dist = np.abs(a[:, None] - b[None, :])
     order = np.argsort(dist, axis=None, kind="stable")
     free_a = np.ones(a.size, dtype=bool)
     free_b = np.ones(b.size, dtype=bool)

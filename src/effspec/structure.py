@@ -50,7 +50,7 @@ class Partition:
     blocks: tuple[IndexSet, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a field-wise == would need one truth value of an array
 class SimilarityWitness:
     """Diagonal d with K = diag(d) @ K2 @ diag(d)^-1 up to ``residual``.
 

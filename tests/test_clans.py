@@ -367,6 +367,19 @@ class TestClassification:
             classify_minor_equal_pair([[0, -1], [1, 0]], [[0, -1], [1, 0]])
 
 
+def test_results_with_array_fields_compare_and_hash():
+    # Array fields have no single truth value: such results compare by identity.
+    matrix, alpha, *_ = random_clan_instance(np.random.default_rng(94), 5)
+    clans = find_clans(matrix)
+    clan = clan_at(matrix, alpha)
+    assert clans[0] == clans[0] and clan in [clan] and clan not in clans
+    similar = np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 3.0], [2.0, 1.0, 1.0]])
+    outcomes = [classify_minor_equal_pair(similar, similar.T) for _ in range(2)]
+    witnesses = [outcome.witness for outcome in outcomes]
+    assert witnesses[0] != witnesses[1] and outcomes[0] != outcomes[1]
+    assert len({clan, *clans, *witnesses, *outcomes}) == len(clans) + 5
+
+
 @st.composite
 def clan_input(draw):
     """A matrix with a planted clan or a generic, clan-free one (n = 4..8),

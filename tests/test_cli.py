@@ -30,6 +30,14 @@ def run_cli(args, unbuffered, **kwargs):
     return subprocess.Popen([sys.executable, "-m", "effspec.cli", *args], env=env, **kwargs)
 
 
+# Pairs whose minors leave the float range: the 2x2 minors are 0 and -1e320, and
+# -1e-400 and -2e-400. The radius of HUGE, 2e308, leaves it too.
+OVERFLOWING = [[1e160, 1e160], [1e160, 1e160]], [[1e160, 2e160], [1e160, 1e160]]
+TINY = (1e-200 * np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+        1e-200 * np.array([[1.0, 3.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
+HUGE = np.full((2, 2), 1e308)
+
+
 @pytest.fixture
 def swap_file(tmp_path, zero_diag_pair):
     return write(tmp_path, "swap.txt", zero_diag_pair[0])
@@ -134,6 +142,19 @@ class TestRadiusAndSpectrum:
         path = write(tmp_path, "m.txt", np.eye(2))
         assert main(["radius", path, "--eta", "1,-1"]) == 64
 
+    @pytest.mark.parametrize("command", [["radius"], ["spectrum"], ["minimize", "--budget", "0"]])
+    def test_results_out_of_the_float_range_are_refused(self, tmp_path, capsys, command):
+        path = write(tmp_path, "m.txt", HUGE)
+        assert main([command[0], path, *command[1:], "--json-lines"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite (overflow)" in captured.err
+
+    def test_scaled_matrix_out_of_the_float_range_is_refused(self, tmp_path, capsys):
+        path = write(tmp_path, "m.txt", np.diag([1e200, 1.0]))
+        assert main(["radius", path, "--eta", "1e200,1"]) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: K @ diag(eta) leaves the float range\n")
+
 
 class TestCompare:
     def test_nonnegative_transpose_equal(self, tmp_path):
@@ -174,15 +195,24 @@ class TestCompare:
         assert main(["compare", swap_file, "/nonexistent/m.txt"]) == 64
 
     @pytest.mark.parametrize("signed", [[], ["--signed"]], ids=["unsigned", "signed"])
-    def test_overflowed_minor_is_usage_error(self, tmp_path, capsys, signed):
-        # True 2x2 minors 0 and -1e320: the overflow must not read as "equal".
-        a = write(tmp_path, "a.txt", [[1e160, 1e160], [1e160, 1e160]])
-        b = write(tmp_path, "b.txt", [[1e160, 2e160], [1e160, 1e160]])
-        assert main(["compare", a, b] + signed) == 64
+    def test_overflowing_minors_get_a_verdict(self, tmp_path, capsys, signed):
+        # True 2x2 minors 0 and -1e320, beyond the float range; the pair is compared
+        # after one power-of-two normalization, where they are 0 and -1/4 of the scale.
+        a = write(tmp_path, "a.txt", OVERFLOWING[0])
+        b = write(tmp_path, "b.txt", OVERFLOWING[1])
+        assert main(["compare", a, b] + signed) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "subset (1, 2) is not finite" in captured.err
-        assert "RuntimeWarning" not in captured.err
+        assert "witness: {1,2}\nmax_discrepancy: 0.25\n" in captured.out
+        assert captured.err == ""
+
+    def test_tiny_scale_pair_gets_its_verdict(self, tmp_path, capsys):
+        # In the float range both 2x2 minors underflow to 0, which read as equal.
+        a = write(tmp_path, "a.txt", TINY[0])
+        b = write(tmp_path, "b.txt", TINY[1])
+        assert main(["compare", a, b]) == 1
+        captured = capsys.readouterr()
+        assert "verdict: not-equal\nwitness: {1,2}\n" in captured.out
+        assert captured.err == ""
 
     def test_mismatch_before_an_overflow_is_a_verdict(self, tmp_path, capsys):
         # The 1x1 minors differ; b's 2x2 minor (1e320) overflows only after them.
@@ -201,6 +231,13 @@ class TestTableCommands:
         assert "minor {1}: 0\n" in out
         assert "minor {2}: 0\n" in out
         assert "minor {1,2}: -1\n" in out
+
+    def test_minors_refuses_an_overflowing_table(self, tmp_path, capsys):
+        path = write(tmp_path, "m.txt", OVERFLOWING[1])
+        assert main(["minors", path, "--json-lines"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: table value for subset (1, 2) is not finite (overflow)\n"
 
     def test_atoms_of_triangular(self, tmp_path, capsys):
         path = write(tmp_path, "t.txt", [[1.0, 5.0], [0.0, 2.0]])
@@ -398,6 +435,35 @@ SUBCOMMANDS = {
     "diagsim": ["{a}", "{b}"],
     "minimize": ["{a}", "--budget", "1"],
 }
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# The kinds of input of the tests above, as (a, b) pairs.
+CLAN = random_clan_instance(np.random.default_rng(95), 4)[0]
+BETA = np.sqrt(2.0) - 1.0
+JSON_INPUTS = {
+    "clan": (CLAN, CLAN.T),
+    "zero-diagonal": ([[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]),
+    "unit-diagonal": ([[1.0, BETA], [BETA, 1.0]], [[1.0, -1.0], [1.0, 1.0]]),
+    "overflowing": OVERFLOWING,
+    "tiny": TINY,
+    "huge": (HUGE, HUGE),
+}
+
+
+@pytest.mark.parametrize("inputs", list(JSON_INPUTS))
+@pytest.mark.parametrize("command", list(SUBCOMMANDS))
+def test_json_lines_are_strict_json(tmp_path, capsys, command, inputs):
+    # json.dumps writes NaN and Infinity, which are not JSON; json.loads takes them back.
+    a, b = JSON_INPUTS[inputs]
+    paths = {"a": write(tmp_path, "a.txt", a), "b": write(tmp_path, "b.txt", b)}
+    main([command, *(arg.format(**paths) for arg in SUBCOMMANDS[command]), "--json-lines"])
+    for line in capsys.readouterr().out.splitlines():
+        json.loads(line, parse_constant=_refuse_constant)
+
 
 # The long options each subcommand's --help lists.
 OPTIONS = {

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,14 @@ class TestEigenvalues:
                 assert residual <= 1e-7 * scale * max(1.0, abs(value)) ** n
 
 
+def test_eigenvalues_out_of_the_float_range_are_refused():
+    # eigvals gives inf and 2.2e292 for this finite matrix, whose eigenvalues are 2e308 and 0.
+    matrix = np.full((2, 2), 1e308)
+    for function in (eigenvalues, spectral_radius, characteristic_polynomial):
+        with pytest.raises(ValueError, match="eigenvalues are not finite"):
+            function(matrix)
+
+
 class TestSpectralRadius:
     def test_rotation_mixing(self):
         assert spectral_radius([[1.0, -1.0], [1.0, 1.0]]) == pytest.approx(
@@ -335,6 +344,21 @@ class TestSubsetTable:
     def table(self):
         rng = np.random.default_rng(17)
         return all_principal_minors(rng.uniform(-1, 1, (4, 4)))
+
+    @pytest.mark.parametrize("position, subset", [(0, (1,)), (4, (1, 3)), (6, (1, 2, 3))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_is_refused_with_its_subset(self, position, subset, bad):
+        array = np.ones(7)
+        array[position:] = bad
+        with pytest.raises(ValueError, match=re.escape(f"subset {subset} is not finite")):
+            SubsetTable(3, array)
+
+    def test_overflowed_tables_are_refused(self):
+        # The 2x2 minor, -1e320, and the radius, 2e308, of finite matrices leave the range.
+        with pytest.raises(ValueError, match=r"subset \(1, 2\) is not finite"):
+            all_principal_minors([[1e160, 2e160], [1e160, 1e160]])
+        with pytest.raises(ValueError, match=r"subset \(1, 2\) is not finite"):
+            boolean_radius_table(np.full((2, 2), 1e308))
 
     def test_array_is_read_only_float64(self):
         array = self.table().array

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from effspec import (
     EnumerationCapError,
     SubsetTable,
+    all_principal_minors,
     as_eta,
     atomic_part,
     boolean_radius_table,
     budget_minimize,
+    classify_minor_equal_pair,
     compare_boolean_tables,
     effective_radius,
     effective_spectrum,
@@ -114,6 +116,13 @@ class TestEffectiveRadius:
                 lhs = effective_radius(submatrix(matrix, alpha, alpha), eta_trim)
                 rhs = effective_radius(matrix, eta_full)
                 assert abs(lhs - rhs) <= 1e-9 * max(1.0, lhs, rhs)
+
+
+def test_product_out_of_the_float_range_is_refused():
+    matrix, eta = np.diag([1e200, 1.0]), [1e200, 1.0]
+    for function in (effective_radius, effective_spectrum):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            function(matrix, eta)
 
 
 class TestEffectiveSpectrum:
@@ -214,15 +223,15 @@ class TestMinorsEqual:
         with pytest.raises(ValueError, match="tolerance"):
             signed_equality_check(swap, rotation, tol=np.nan)
 
-    def test_overflowed_minor_is_an_error(self):
-        # The 2x2 minors are 0 and -1e320; the second overflows to -inf, and
-        # the mismatch inf / inf = nan fails every "> tol" test.
+    def test_overflowing_minors_get_a_verdict(self):
+        # The 2x2 minors are 0 and -1e320: b's overflows to -inf in a table, but
+        # not in the comparison, which normalizes the pair by a power of two.
         a = [[1e160, 1e160], [1e160, 1e160]]
         b = [[1e160, 2e160], [1e160, 1e160]]
+        for verdict in (minors_equal(a, b), same_effective_family(a, b)):
+            assert (verdict.equal, verdict.witness) == (False, (1, 2))
         with pytest.raises(ValueError, match=r"subset \(1, 2\) is not finite"):
-            minors_equal(a, b)
-        with pytest.raises(ValueError, match="not finite"):
-            same_effective_family(a, b)
+            all_principal_minors(b)
 
     def test_mismatch_before_an_overflow_is_the_witness(self):
         # (1,) differs by half its scale, and only later does b's 2x2 minor, 1e320,
@@ -270,19 +279,19 @@ class TestMinorsEqual:
 
     def test_non_finite_value_in_either_table_is_named(self):
         finite = SubsetTable(2, [1.0, 1.0, 2.0])
-        broken = SubsetTable(2, [1.0, np.nan, np.inf])
-        for a, b in ((finite, broken), (broken, finite)):
-            with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
-                compare_boolean_tables(a, b)
+        with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+            compare_boolean_tables(finite, SubsetTable(2, [1.0, np.nan, np.inf]))
+        with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+            compare_boolean_tables(SubsetTable(2, [1.0, np.nan, np.inf]), finite)
 
     def test_nan_in_a_table_leaves_the_scale_finite(self):
         # A NaN scale would make (1,)'s rounding-sized gap offend and read as a witness;
-        # the comparison must pass it and name the NaN at (2,).
+        # the table must refuse the NaN at (2,) before any comparison.
         finite = SubsetTable(2, [1.0, 1.0, 2.0])
-        broken = SubsetTable(2, [1.0 + 1e-12, np.nan, 2.0])
-        for a, b in ((finite, broken), (broken, finite)):
-            with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
-                compare_boolean_tables(a, b)
+        with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+            compare_boolean_tables(finite, SubsetTable(2, [1.0 + 1e-12, np.nan, 2.0]))
+        with pytest.raises(ValueError, match=r"subset \(2,\) is not finite"):
+            compare_boolean_tables(SubsetTable(2, [1.0 + 1e-12, np.nan, 2.0]), finite)
 
 
 class TestSameEffectiveFamily:
@@ -398,6 +407,11 @@ class TestBudgetMinimize:
         with pytest.raises(ValueError, match="tolerance"):
             budget_minimize(TWO_SWAPS, 1, tol=tol)
 
+    def test_overflowing_radius_is_refused(self):
+        # eigvals reports inf for the radius, 2e308, of this finite matrix.
+        with pytest.raises(ValueError, match="not finite"):
+            budget_minimize(np.full((2, 2), 1e308), 0)
+
 
 @st.composite
 def separated_budget_case(draw):
@@ -496,6 +510,18 @@ class TestMultisetMatching:
     def test_tolerance_scale(self):
         assert multisets_match([100.0], [100.0 + 5e-7], tol=1e-8)
         assert not multisets_match([1.0], [1.0 + 5e-7], tol=1e-8)
+
+    @pytest.mark.parametrize("a, b", [([np.nan], [1.0]), ([1.0, np.nan], [1.0, 5.0]),
+                                      ([1.0], [np.inf])])
+    def test_non_finite_values_are_refused(self, a, b):
+        # Python's max(worst, nan) keeps worst, so a NaN used to read as agreement.
+        for function in (spectrum_mismatch, multisets_match):
+            with pytest.raises(ValueError, match="finite"):
+                function(a, b)
+
+    def test_distances_past_the_float_range_are_far_apart(self):
+        assert multisets_match([1e308, -1e308], [-1e308, 1e308])
+        assert spectrum_mismatch([1e308], [-1e308]) == np.inf
 
     def test_greedy_pairing_can_miss_the_optimal_bottleneck(self):
         # Greedy pairs 1.1 with 1.0 first and is left with |0 - 2.2|.
@@ -635,3 +661,44 @@ class TestSignedVerdictInvariance:
         assert signed_equality_check(a.T, b.T).equal is expected
         d = rng.uniform(0.5, 2.0, a.shape[0]) * rng.choice([-1.0, 1.0], a.shape[0])
         assert signed_equality_check(a, d[:, None] * b / d[None, :]).equal is expected
+
+
+@st.composite
+def pair_across_the_range(draw):
+    """A pair (K, K2), nonnegative or of mixed signs with a nonzero diagonal:
+    K2 is K's transpose, a diagonal similar of K (of mixed signs for signed K),
+    or K with one off-diagonal entry scaled by 1.1."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix, d = rng.uniform(0.1, 1.1, (n, n)), rng.uniform(0.5, 2.0, n)
+    if draw(st.booleans()):
+        matrix *= rng.choice([-1.0, 1.0], (n, n))
+        d *= rng.choice([-1.0, 1.0], n)
+    relation = draw(st.sampled_from(["transpose", "similarity", "perturbed"]))
+    other = matrix.T.copy() if relation == "transpose" else d[:, None] * matrix / d[None, :]
+    if relation == "perturbed":
+        i, j = rng.choice(n, 2, replace=False)
+        other[i, j] *= 1.1
+    return matrix, other
+
+
+def range_answers(a, b):
+    signed = signed_equality_check(a, b)
+    answers = {"signed": (signed.equal, signed.witness)}
+    if (a >= 0).all() and (b >= 0).all():
+        family = same_effective_family(a, b)
+        answers["family"] = (family.equal, family.witness)
+        answers["kind"] = classify_minor_equal_pair(a, b).kind if family.equal else None
+    return answers
+
+
+class TestFloatRangeInvariance:
+    """A verdict holds under c * K across the whole float range: at 2**e with
+    |e| up to 1000 the size-k minors, of magnitude 2**(k * e), leave it, but
+    the comparison normalizes the pair by a power of two first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair_across_the_range(), st.integers(-1000, 1000))
+    def test_rescaling_keeps_verdict_witness_and_kind(self, case, e):
+        a, b = case
+        assert range_answers(2.0 ** e * a, 2.0 ** e * b) == range_answers(a, b)
