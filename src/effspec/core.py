@@ -231,10 +231,19 @@ def _subset_at(n: int, position: int) -> IndexSet:
 def _subset_slices(n: int, size: int, cells: int):
     # Every subset of range(n) of one size, in lex order, as (count, size) index
     # arrays, sliced so the stacked blocks (``cells`` float64s a subset) fit _SLICE_BYTES.
-    per = max(1, _SLICE_BYTES // (8 * max(1, cells)))
-    combos = itertools.combinations(range(n), size)
-    while batch := list(itertools.islice(combos, per)):
-        yield np.array(batch, dtype=np.intp).reshape(len(batch), size)
+    # The subset of lex rank r is n - 1 - d_i, with C(n, size) - 1 - r = sum C(d_i, size - i)
+    # in the combinatorial number system: d_i is the largest d with C(d, size - i) <= the rest.
+    per, total = max(1, _SLICE_BYTES // (8 * max(1, cells))), math.comb(n, size)
+    binomials = np.array([[math.comb(d, m) for d in range(n)] for m in range(size, 0, -1)],
+                         dtype=np.intp).reshape(size, n)
+    for start in range(0, total, per):
+        rest = total - 1 - np.arange(start, min(start + per, total), dtype=np.intp)
+        chosen = np.empty((len(rest), size), dtype=np.intp)
+        for column, row in enumerate(binomials):
+            d = np.searchsorted(row, rest, side="right") - 1
+            rest -= row[d]
+            chosen[:, column] = n - 1 - d
+        yield chosen
 
 
 def _complements(chosen: np.ndarray, n: int) -> np.ndarray:
@@ -276,7 +285,10 @@ def characteristic_polynomial(M) -> np.ndarray:
     which keeps it accurate at every dimension.
     """
     values = eigenvalues(M)
-    return (-1.0) ** len(values) * np.real(np.poly(values))[::-1]
+    coefficients = (-1.0) ** len(values) * np.real(np.poly(values))[::-1]
+    if not np.isfinite(coefficients).all():  # finite eigenvalues can have a product that is not
+        raise ValueError("characteristic polynomial coefficients are not finite (overflow)")
+    return coefficients
 
 
 def eigenvalues(M) -> np.ndarray:

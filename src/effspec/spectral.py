@@ -141,21 +141,30 @@ def _radii(blocks: np.ndarray) -> np.ndarray:
 
 # Relative slack of a radius lower bound, far above the rounding of it and of eigvals.
 _BOUND_SLACK = 1e-6
+# Power steps for all profiles and for survivors, cut fraction, profiles per eigvals call.
+_FIRST_STEPS, _MORE_STEPS, _CUT, _CHUNK = 3, 12, 1e-2, 4
 
 
-def _radius_lower_bounds(blocks: np.ndarray) -> np.ndarray:
-    # Collatz-Wielandt: rho(B) >= min over x_i > 0 of (Bx)_i / x_i for B >= 0 and
-    # nonzero x >= 0; x takes three power steps from 1. Sums below the normal
-    # range may be rounded up, so their ratios count as 0; non-finite bounds as 0.
+def _radius_bounds(k: np.ndarray, mask: np.ndarray, x: np.ndarray, steps: int):
+    # Collatz-Wielandt: rho(B) >= min over x_i > 0 of (Bx)_i / x_i for B >= 0, x >= 0, x != 0.
+    # Column p of x is zero off the support S of profile p (column p of mask), and (k @ x)_i =
+    # (K[S] x_S)_i for i in S; masks select, as inf * 0 is NaN. Cuts keep indices that do not
+    # reach the dominant class out of the min. Ratios of sums below the normal range (maybe
+    # rounded up) and non-finite bounds count as 0. Returns x, bounds and last column maxima.
     with np.errstate(all="ignore"):
-        x = np.ones(blocks.shape[:2])
-        for _ in range(3):
-            bx = (blocks @ x[..., None])[..., 0]
-            x = bx / bx.max(-1, keepdims=True, initial=0.0)
-        bx = (blocks @ x[..., None])[..., 0]
-        ratios = np.where(x > 0, np.where(bx >= np.finfo(float).tiny, bx / x, 0.0), np.inf)
-        bounds = ratios.min(-1, initial=np.inf) * (1 - _BOUND_SLACK)
-    return np.where(np.isfinite(bounds), bounds, 0.0)
+        for _ in range(steps):
+            x = np.where(mask, k @ x, 0.0)
+            x = x / x.max(0)
+            x = np.where(x >= _CUT, x, 0.0)
+        kx = np.where(mask, k @ x, 0.0)
+        ratios = np.where(x > 0, np.where(kx >= np.finfo(float).tiny, kx / x, 0.0), np.inf)
+        bounds = ratios.min(0) * (1 - _BOUND_SLACK)
+    return x, np.where(np.isfinite(bounds), bounds, 0.0), kx.max(0)
+
+
+def _support_radii(k: np.ndarray, zeroed: np.ndarray) -> np.ndarray:
+    support = _complements(zeroed, len(k))
+    return _radii(k[support[:, :, None], support[:, None, :]])
 
 
 def _compare(method: str, n: int, slices, tol: float) -> EqualityVerdict:
@@ -261,12 +270,13 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     rho(K[support]), with support the complement of ``zeroed``. Returns the
     minimal radius and every zeroed set within ``tol * max(max|K|, best)`` of
     it, in lexicographic order. K must be nonnegative. Capped like the minor
-    table (default n <= 20). Eigenvalues are only computed where a
-    Collatz-Wielandt lower bound on the radius (three power steps from the
-    ones vector, shrunk by a relative slack of 1e-6) is within the tolerance
-    of the best radius so far. The result is that of evaluating all
-    C(n, budget) profiles unless eigvals misstates a skipped profile's radius
-    by more than the slack. An optimal radius that is not finite is refused.
+    table (default n <= 20). Eigenvalues are computed in increasing bound order,
+    only while a Collatz-Wielandt lower bound on the radius (shrunk by a relative
+    slack of 1e-6) is within the tolerance of the best so far. One masked product
+    K @ X is a power step of a slice of profiles; small entries are cut to 0 so
+    the bound converges on reducible supports. The result is that of evaluating
+    all C(n, budget) profiles unless eigvals misstates a skipped profile's radius
+    by more than the slack. A non-finite optimal radius is refused.
     """
     k = as_matrix(K)
     if (k < 0).any():
@@ -278,23 +288,30 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     _check_tol(tol)
     # best only falls and b + tol * max(scale, b) grows with b: no skipped profile can tie.
     scale, best, near, evaluated = np.abs(k).max(), math.inf, [], 0
-    for zeroed in _subset_slices(n, budget, (n - budget) ** 2):
-        support = _complements(zeroed, n)
-        blocks = k[support[:, :, None], support[:, None, :]]
-        bounds = _radius_lower_bounds(blocks)
-        if best == math.inf:  # seed with the most promising profile
-            best = float(_radii(blocks[[bounds.argmin()]])[0])
-        keep = np.flatnonzero(_mismatch(bounds - best, scale, best) <= tol)
-        radii = _radii(blocks[keep])
-        evaluated += len(keep)
-        best = min(best, float(radii.min(initial=math.inf)))
-        close = _mismatch(radii - best, scale, best) <= tol
-        near += zip(radii[close].tolist(), map(tuple, (zeroed[keep[close]] + 1).tolist()))
+    for zeroed in _subset_slices(n, budget, 4 * n):  # a power step holds ~4 n-vectors a profile
+        mask = np.ones((n, len(zeroed)), dtype=bool)
+        mask[zeroed.T, np.arange(len(zeroed))] = False  # column p: profile p's support
+        x, bounds, growth = _radius_bounds(k, mask, mask.astype(float), _FIRST_STEPS)
+        if best == math.inf:  # seed with the profile whose power steps grew the least
+            best = float(_support_radii(k, zeroed[[growth.argmin()]])[0])
+        hopeful = np.flatnonzero(_mismatch(bounds - best, scale, best) <= tol)
+        _, bounds, _ = _radius_bounds(k, mask[:, hopeful], x[:, hopeful], _MORE_STEPS)
+        hopeful, bounds = hopeful[np.argsort(bounds)], np.sort(bounds)
+        for start in range(0, len(hopeful), _CHUNK):
+            chunk = hopeful[start:start + _CHUNK]
+            chunk = chunk[_mismatch(bounds[start:start + _CHUNK] - best, scale, best) <= tol]
+            if not len(chunk):  # the bounds rise along hopeful and best only falls: none left
+                break
+            radii = _support_radii(k, zeroed[chunk])
+            evaluated += len(chunk)
+            best = min(best, float(radii.min()))
+            close = _mismatch(radii - best, scale, best) <= tol
+            near += zip(radii[close].tolist(), map(tuple, (zeroed[chunk[close]] + 1).tolist()))
     _log.debug("budget search: eigvals on %d of %d profiles", evaluated, math.comb(n, budget))
     if not math.isfinite(best):
         raise ValueError("the optimal radius is not finite (overflow)")
     tied = _mismatch(np.array([radius for radius, _ in near]) - best, scale, best) <= tol
-    return best, [zeroed for (_, zeroed), tie in zip(near, tied) if tie]
+    return best, sorted(zeroed for (_, zeroed), tie in zip(near, tied) if tie)  # lex order
 
 
 def spectrum_mismatch(values_a, values_b) -> float:
@@ -356,7 +373,8 @@ def scaling_identities_check(K, eta, eta_eval, tol: float = EIGENVALUE_TOL) -> b
 
     with ind the indicator of the support of eta all define the same
     effective-spectrum function. Returns True when their spectra, each
-    evaluated at ``eta_eval``, agree as multisets within ``tol``.
+    evaluated at ``eta_eval``, agree as multisets within ``tol``; refuses
+    products that leave the float range.
     """
     _check_tol(tol)
     k = as_matrix(K)
@@ -367,10 +385,10 @@ def scaling_identities_check(K, eta, eta_eval, tol: float = EIGENVALUE_TOL) -> b
     e2 = as_eta(eta_eval, n)
     ind = (e > 0).astype(float)
     candidates = (
-        k * e,                      # K @ diag(eta)
-        e[:, None] * k,             # diag(eta) @ K
-        ind[:, None] * k * e,       # diag(ind) @ K @ diag(eta)
-        e[:, None] * k * ind,       # diag(eta) @ K @ diag(ind)
+        _scaled(k, e),                      # K @ diag(eta)
+        _scaled(k.T, e).T,                  # diag(eta) @ K
+        _scaled(ind[:, None] * k, e),       # diag(ind) @ K @ diag(eta)
+        _scaled((k * ind).T, e).T,          # diag(eta) @ K @ diag(ind)
     )
-    spectra = [eigenvalues(c * e2) for c in candidates]
+    spectra = [eigenvalues(_scaled(c, e2)) for c in candidates]
     return all(multisets_match(spectra[0], s, tol) for s in spectra[1:])

@@ -9,8 +9,10 @@ instead of elimination, maximal irreducible sets through exhaustive
 subset enumeration, subset tables and the budget search through one LU or
 eigenvalue call per subset instead of one batched call per slice of
 subsets, minor-equality verdicts through two whole tables instead of one
-joint sweep that stops at the first mismatch, and rank-1 fits and the clan
-scan through one pivot search per block instead of one batched fit per slice.
+joint sweep that stops at the first mismatch, rank-1 fits and the clan
+scan through one pivot search per block instead of one batched fit per slice,
+and the slices of a sweep through ``itertools.combinations`` instead of
+unranking in the combinatorial number system.
 """
 
 import itertools
@@ -35,6 +37,15 @@ def random_nonnegative(rng, n, density=0.65, low=0.2, high=1.2):
     values = rng.uniform(low, high, (n, n))
     mask = rng.random((n, n)) < density
     return np.where(mask, values, 0.0)
+
+
+def sparse_irreducible(rng, n, density=0.3):
+    """Nonnegative with a Hamiltonian cycle, so irreducible, plus Bernoulli
+    entries of the given density."""
+    m = np.where(rng.random((n, n)) < density, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    order = rng.permutation(n)
+    m[order, np.roll(order, -1)] = rng.uniform(0.1, 1.0, n)
+    return m
 
 
 def random_positive(rng, n, low=0.1, high=1.1):
@@ -121,6 +132,15 @@ def radius_table_by_subset(K):
     return np.array([abs(float(k[alpha[0] - 1, alpha[0] - 1])) if len(alpha) == 1
                      else spectral_radius(submatrix(k, alpha, alpha))
                      for alpha in index_sets(k.shape[0])])
+
+
+def subset_slices_by_combinations(n, size, cells, slice_bytes):
+    """The subsets of range(n) of one size in lex order, as (count, size) intp
+    arrays of slice_bytes // (8 * cells) subsets (at least one) each."""
+    per = max(1, slice_bytes // (8 * max(1, cells)))
+    combos = itertools.combinations(range(n), size)
+    while batch := list(itertools.islice(combos, per)):
+        yield np.array(batch, dtype=np.intp).reshape(len(batch), size)
 
 
 def budget_search_by_profile(K, budget, tol=1e-9):

@@ -209,6 +209,12 @@ class TestEigenvalues:
                 assert residual <= 1e-7 * scale * max(1.0, abs(value)) ** n
 
 
+def test_characteristic_polynomial_out_of_the_float_range_is_refused():
+    # Both eigenvalues are finite, but their product 1e400 is the constant term.
+    with pytest.raises(ValueError, match="coefficients are not finite"):
+        characteristic_polynomial(np.diag([1e200, 1e200]))
+
+
 def test_eigenvalues_out_of_the_float_range_are_refused():
     # eigvals gives inf and 2.2e292 for this finite matrix, whose eigenvalues are 2e308 and 0.
     matrix = np.full((2, 2), 1e308)

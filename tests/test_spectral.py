@@ -34,7 +34,12 @@ from effspec import (
 )
 import effspec
 from effspec import core, spectral
-from support import bottleneck_by_permutation, budget_search_by_profile, random_nonnegative
+from support import (
+    bottleneck_by_permutation,
+    budget_search_by_profile,
+    random_nonnegative,
+    sparse_irreducible,
+)
 
 
 class TestEtaValidation:
@@ -461,6 +466,16 @@ class TestBudgetSearchLog:
         assert profiles == 220
         assert 1 <= evaluated < 0.1 * profiles
 
+    def test_sparse_irreducible_matrix_skips_most_profiles(self, caplog):
+        # Many supports of a sparse matrix are reducible, where three uncut power steps
+        # leave the bound loose; the survivors' cut steps must leave eigvals few profiles.
+        for seed in range(10):
+            matrix = sparse_irreducible(np.random.default_rng(seed), 14)
+            evaluated, profiles = self.counts(caplog, matrix, 3)
+            assert profiles == 364
+            assert 1 <= evaluated <= 0.02 * profiles
+            caplog.clear()
+
     def test_all_tie_matrix_evaluates_every_profile(self, caplog):
         assert self.counts(caplog, np.ones((6, 6)) - np.eye(6), 2) == (15, 15)
 
@@ -474,6 +489,38 @@ class TestBudgetSearchLog:
                                 text=True, timeout=60)
         assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
         assert logging.getLogger("effspec").handlers == []
+
+
+@st.composite
+def bounded_matrix(draw):
+    """Nonnegative n x n, n 1-10, of density 0.1-1 with some rows and columns
+    zeroed, scaled by 2**e for e in -60..60."""
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = np.where(rng.random((n, n)) < draw(st.floats(0.1, 1.0)),
+                      rng.uniform(0.1, 1.1, (n, n)), 0.0)
+    matrix[rng.random(n) < 0.2] = 0.0
+    matrix[:, rng.random(n) < 0.2] = 0.0
+    return matrix * 2.0 ** draw(st.integers(-60, 60))
+
+
+class TestRadiusBounds:
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_matrix())
+    def test_no_bound_exceeds_the_radius(self, matrix):
+        # Every non-empty support at once, after the cheap pass and after the pass over
+        # survivors, against the eigvals radius of its block.
+        n = len(matrix)
+        supports = list(index_sets(n))
+        mask = np.zeros((n, len(supports)), dtype=bool)
+        for p, support in enumerate(supports):
+            mask[np.array(support) - 1, p] = True
+        radii = boolean_radius_table(matrix).array
+        x, first, _ = spectral._radius_bounds(matrix, mask, mask.astype(float),
+                                              spectral._FIRST_STEPS)
+        _, more, _ = spectral._radius_bounds(matrix, mask, x, spectral._MORE_STEPS)
+        assert (first >= 0).all() and (first <= radii).all()
+        assert (more >= 0).all() and (more <= radii).all()
 
 
 class TestScalingIdentities:
@@ -497,6 +544,14 @@ class TestScalingIdentities:
     def test_negative_matrix_refused(self):
         with pytest.raises(ValueError):
             scaling_identities_check([[0, -1], [1, 0]], [1, 1], [1, 1])
+
+    @pytest.mark.parametrize("matrix, eta, eta_eval", [
+        (np.eye(2), [1e200, 1.0], [1e200, 1.0]),   # finite K @ diag(eta), overflowing at eta_eval
+        (np.full((2, 2), 1e200), [1e200, 1.0], [1.0, 1.0]),
+    ])
+    def test_overflowing_product_is_refused(self, matrix, eta, eta_eval):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            scaling_identities_check(matrix, eta, eta_eval)
 
 
 class TestMultisetMatching:

@@ -27,7 +27,7 @@ from effspec import (
     minors_equal,
     rank1_factor,
 )
-from effspec import core
+from effspec import core, spectral
 from support import (
     budget_search_by_profile,
     clan_scan_by_subset,
@@ -36,6 +36,7 @@ from support import (
     radius_table_by_subset,
     random_clan_instance,
     rank1_fit_by_pivot,
+    subset_slices_by_combinations,
 )
 
 
@@ -114,6 +115,19 @@ def test_first_mismatch_planted_at_every_size(k, monkeypatch):
     assert verdicts([(matrix, planted)], 1e-9) == [expected]
     monkeypatch.setattr(core, "_SLICE_BYTES", 1)
     assert verdicts([(matrix, planted)], 1e-9) == [expected]
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 100, core._SLICE_BYTES])
+def test_subset_slices_match_combinations(slice_bytes, monkeypatch):
+    monkeypatch.setattr(core, "_SLICE_BYTES", slice_bytes)
+    for n in range(11):
+        for size in range(n + 2):
+            for cells in (0, 1, 9, 4096):
+                ours = list(core._subset_slices(n, size, cells))
+                theirs = list(subset_slices_by_combinations(n, size, cells, slice_bytes))
+                assert len(ours) == len(theirs)
+                for a, b in zip(ours, theirs):
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("kind, n", CASES, ids=IDS)
@@ -311,8 +325,34 @@ def subnormal(rng, n):
     return np.random.default_rng(6).uniform(0.1, 1.1, (n, n)) * 1e-319
 
 
+def unreachable_tail(rng, n):
+    # A positive dominant block reaching a tail that does not reach it back (zero
+    # tail-to-block entries): the tail's own rates pin an uncut bound below the radius.
+    m = np.triu(rng.uniform(0.1, 0.3, (n, n)))
+    h = n // 2
+    m[:h, :h] = rng.uniform(1.0, 2.0, (h, h))
+    m[:h, h:] = rng.uniform(0.1, 1.0, (h, n - h))
+    return permuted(rng, m)
+
+
+def faint_link(rng, n):
+    # As unreachable_tail, but the tail reaches the block through 1e-12 entries, so its
+    # indices are in the block's class with eigenvector entries near 1e-12: only cutting
+    # them lets the bound approach the radius.
+    m = unreachable_tail(rng, n)
+    return np.where(m == 0.0, 1e-12, m)
+
+
+def near_tie(rng, n):
+    # Two copies of a block, the second scaled by 1 + 3 * slack: zeroing an index of the
+    # first copy leaves a radius about 3e-6 above that of zeroing one of the second.
+    block = rng.uniform(0.1, 1.1, (n // 2, n // 2))
+    return permuted(rng, np.kron(np.diag([1.0, 1.0 + 3 * spectral._BOUND_SLACK]), block))
+
+
 ADVERSARIAL = [all_ties, permuted_triangular, permuted_block_triangular, equal_blocks,
-               optimum_last, huge, overflowing, subnormal]
+               optimum_last, huge, overflowing, subnormal, unreachable_tail, faint_link,
+               near_tie]
 
 
 @pytest.mark.parametrize("kind", ADVERSARIAL)
