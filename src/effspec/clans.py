@@ -238,8 +238,8 @@ def verify_partial_transpose_invariance(K, K2, tol: float = 1e-9) -> EqualityVer
 
     Principal submatrices of a partial-transpose pair are again partial
     transposes of each other, so all of their spectra must agree; spectrum
-    equality of every submatrix pair is equivalent to the equality of the
-    two principal-minor tables, which is what gets compared.
+    equality of every submatrix pair is equivalent to the equality of all
+    principal minors, which :func:`minors_equal` compares without building a table.
     """
     return minors_equal(K, K2, tol=tol)
 

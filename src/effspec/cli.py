@@ -15,16 +15,18 @@ input file; reports are deterministic, and ``--json-lines`` emits one
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .clans import clan_at, find_clans, partial_transpose
-from .core import _check_tol, _number, all_principal_minors, as_index_set, as_matrix
+from .core import _check_tol, _number, all_principal_minors, as_index_set, as_matrix, index_sets
 from .spectral import (
     as_eta,
     budget_minimize,
@@ -115,17 +117,19 @@ def _json_value(value):
 
 @dataclass
 class Report:
-    """A subcommand's own records, after the header ``main`` writes."""
+    """A subcommand's own records, any iterable of (key, value), after ``main``'s header.
+    A handler computes and validates everything before it returns; lazy records only format.
+    """
 
-    records: list[tuple[str, object]]
+    records: Iterable[tuple[str, object]]
     exit_code: int = 0
     matrix: np.ndarray | None = None
 
 
-def _render(records: list[tuple[str, object]], matrix, json_lines: bool) -> None:
+def _render(records: Iterable[tuple[str, object]], matrix, json_lines: bool) -> None:
     if json_lines:
         if matrix is not None:
-            records = records + [("matrix", matrix)]
+            records = itertools.chain(records, [("matrix", matrix)])
         for key, value in records:
             print(json.dumps({"key": key, "value": _json_value(value)}))
         return
@@ -202,8 +206,8 @@ def cmd_compare(args) -> Report:
 
 def cmd_minors(args) -> Report:
     table = all_principal_minors(_load(args.file))
-    return Report([("n", table.n)] + [(f"minor {_fmt_set(alpha)}", value)
-                                      for alpha, value in table.values.items()])
+    labels = (f"minor {_fmt_set(alpha)}" for alpha in index_sets(table.n))
+    return Report(itertools.chain([("n", table.n)], zip(labels, table.array.tolist())))
 
 
 def cmd_atoms(args) -> Report:
@@ -314,7 +318,7 @@ def main(argv=None) -> int:
     try:
         report = args.handler(args)
         header = [("command", args.command)] + [(file, getattr(args, file)) for file in args.files]
-        _render(header + report.records, report.matrix, json_lines=args.json_lines)
+        _render(itertools.chain(header, report.records), report.matrix, args.json_lines)
         # A failed write (a full disk, a closed pipe) is an input/output error.
         sys.stdout.flush()
     except (ValueError, OSError) as exc:

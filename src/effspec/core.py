@@ -14,8 +14,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -187,10 +185,9 @@ def principal_minor(M, alpha) -> float:
 class SubsetTable:
     """One value per non-empty index subset of {1, ..., n}.
 
-    ``array`` holds the 2**n - 1 values, read-only, in the size-then-lex
-    order of :func:`index_sets`; ``values`` is a read-only mapping from
-    1-based index tuples to the same values in the same order. A minor
-    table stores det(K[alpha]), a boolean radius table rho(K[alpha]).
+    ``array`` holds the 2**n - 1 values, read-only, in the size-then-lex order of
+    :func:`index_sets`; ``table[alpha]`` looks one up by rank. A minor table stores
+    det(K[alpha]), a boolean radius table rho(K[alpha]).
     A table refuses a non-finite value, naming its subset, so no comparison
     ever meets a number outside the float range.
     """
@@ -209,10 +206,6 @@ class SubsetTable:
             raise ValueError(f"table value for subset {witness} is not finite (overflow)")
         object.__setattr__(self, "array", array)
         self.array.flags.writeable = False
-
-    @cached_property
-    def values(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(index_sets(self.n), self.array.tolist())))
 
     def __getitem__(self, alpha) -> float:
         # Smaller sizes first, then the lex rank C(n, k) - 1 - sum C(n - a_i, k + 1 - i).

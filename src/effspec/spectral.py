@@ -214,9 +214,9 @@ def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     """Decide whether two nonnegative matrices share the same effective
     spectrum function (equivalently the same effective radius function).
 
-    Decided through the principal-minor tables, the cheapest of the
-    equivalent characterizations. Matrices with negative entries are
-    refused; use :func:`signed_equality_check` for those.
+    Decided by :func:`minors_equal`, which streams the principal minors and builds no
+    table, the cheapest of the equivalent characterizations. Matrices with negative
+    entries are refused; use :func:`signed_equality_check` for those.
     """
     a = as_matrix(K)
     b = as_matrix(K2)
@@ -292,9 +292,12 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
         mask = np.ones((n, len(zeroed)), dtype=bool)
         mask[zeroed.T, np.arange(len(zeroed))] = False  # column p: profile p's support
         x, bounds, growth = _radius_bounds(k, mask, mask.astype(float), _FIRST_STEPS)
-        if best == math.inf:  # seed with the profile whose power steps grew the least
-            best = float(_support_radii(k, zeroed[[growth.argmin()]])[0])
+        seed = int(growth.argmin()) if best == math.inf else -1  # the least growth seeds best
+        if seed >= 0:  # and goes to eigvals here only
+            best, evaluated = float(_support_radii(k, zeroed[[seed]])[0]), evaluated + 1
+            near.append((best, tuple((zeroed[seed] + 1).tolist())))
         hopeful = np.flatnonzero(_mismatch(bounds - best, scale, best) <= tol)
+        hopeful = hopeful[hopeful != seed]
         _, bounds, _ = _radius_bounds(k, mask[:, hopeful], x[:, hopeful], _MORE_STEPS)
         hopeful, bounds = hopeful[np.argsort(bounds)], np.sort(bounds)
         for start in range(0, len(hopeful), _CHUNK):

@@ -81,7 +81,7 @@ def characteristic_polynomial_by_minors(M):
     table = all_principal_minors(M)
     sums = np.zeros(table.n + 1)
     sums[0] = 1.0
-    for alpha, value in table.values.items():
+    for alpha, value in zip(index_sets(table.n), table.array.tolist()):
         sums[len(alpha)] += value
     n = table.n
     return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])

@@ -130,9 +130,7 @@ def test_criterion_4_single_entry_perturbations_detected():
                     assert not verdict.equal
                     assert verdict.witness is not None
                     grid = boolean_radius_table(bumped)
-                    separation = max(
-                        abs(base_grid.values[alpha] - grid.values[alpha])
-                        for alpha in base_grid.values)
+                    separation = np.abs(base_grid.array - grid.array).max()
                     assert separation >= 1e-4
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 import effspec
 from effspec import cli, effective_radius
 from effspec.cli import format_matrix, main, parse_matrix
-from support import random_clan_instance, random_positive
+from support import minor_table_by_lu, random_clan_instance, random_positive
 
 
 def write(tmp_path, name, matrix):
@@ -231,6 +232,27 @@ class TestTableCommands:
         assert "minor {1}: 0\n" in out
         assert "minor {2}: 0\n" in out
         assert "minor {1,2}: -1\n" in out
+
+    @pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json-lines"])
+    @pytest.mark.parametrize("kind", ["positive", "signed", "zero-diagonal"])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_minors_report_is_complete(self, tmp_path, capsys, n, kind, json_lines):
+        # Against an independent rendering: itertools labels, one LU determinant per minor.
+        rng = np.random.default_rng(n)
+        matrix = rng.uniform(-1.0, 1.0, (n, n)) if kind == "signed" else random_positive(rng, n)
+        if kind == "zero-diagonal":
+            np.fill_diagonal(matrix, 0.0)
+        path = write(tmp_path, "m.txt", matrix)
+        labels = ["minor {" + ",".join(map(str, alpha)) + "}" for size in range(1, n + 1)
+                  for alpha in itertools.combinations(range(1, n + 1), size)]
+        header = [("command", "minors"), ("file", path), ("n", n)]
+        minors = list(zip(labels, minor_table_by_lu(matrix).tolist()))
+        if json_lines:
+            lines = [json.dumps({"key": key, "value": value}) for key, value in header + minors]
+        else:
+            lines = [f"{key}: {value}" for key, value in header] + ["%s: %.12g" % m for m in minors]
+        assert main(["minors", path] + ["--json-lines"] * json_lines) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
     def test_minors_refuses_an_overflowing_table(self, tmp_path, capsys):
         path = write(tmp_path, "m.txt", OVERFLOWING[1])

@@ -149,7 +149,7 @@ class TestEffectiveSpectrum:
 class TestBooleanRadiusTable:
     def test_identity(self):
         table = boolean_radius_table(np.eye(2))
-        assert table.values == {(1,): 1.0, (2,): 1.0, (1, 2): 1.0}
+        assert table.array.tolist() == [1.0, 1.0, 1.0]
 
     def test_zero_diag_pair_tables_coincide(self, zero_diag_pair):
         swap, rotation = zero_diag_pair
@@ -478,6 +478,21 @@ class TestBudgetSearchLog:
 
     def test_all_tie_matrix_evaluates_every_profile(self, caplog):
         assert self.counts(caplog, np.ones((6, 6)) - np.eye(6), 2) == (15, 15)
+
+    @pytest.mark.parametrize("matrix, budget", [
+        (np.random.default_rng(1).uniform(0.1, 1, (12, 12)), 3),  # the README example
+        (np.ones((6, 6)) - np.eye(6), 2)], ids=["readme", "all-tie"])
+    def test_logged_count_is_the_profiles_sent_to_eigvals(self, caplog, monkeypatch,
+                                                           matrix, budget):
+        sent, support_radii = [], spectral._support_radii
+
+        def counting(k, zeroed):
+            sent.extend(map(tuple, zeroed.tolist()))
+            return support_radii(k, zeroed)
+
+        monkeypatch.setattr(spectral, "_support_radii", counting)
+        evaluated, _ = self.counts(caplog, matrix, budget)
+        assert evaluated == len(sent) == len(set(sent))
 
     def test_silent_by_default(self):
         code = ("import numpy as np, effspec\n"
