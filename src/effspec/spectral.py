@@ -141,16 +141,17 @@ def _radii(blocks: np.ndarray) -> np.ndarray:
 
 # Relative slack of a radius lower bound, far above the rounding of it and of eigvals.
 _BOUND_SLACK = 1e-6
-# Power steps for all profiles and for survivors, cut fraction, profiles per eigvals call.
-_FIRST_STEPS, _MORE_STEPS, _CUT, _CHUNK = 3, 12, 1e-2, 4
+# Power steps of the bound, cut fraction, profiles per eigvals call.
+_STEPS, _CUT, _CHUNK = 10, 1e-2, 4
 
 
-def _radius_bounds(k: np.ndarray, mask: np.ndarray, x: np.ndarray, steps: int):
+def _radius_bounds(k: np.ndarray, mask: np.ndarray, steps: int) -> np.ndarray:
     # Collatz-Wielandt: rho(B) >= min over x_i > 0 of (Bx)_i / x_i for B >= 0, x >= 0, x != 0.
-    # Column p of x is zero off the support S of profile p (column p of mask), and (k @ x)_i =
-    # (K[S] x_S)_i for i in S; masks select, as inf * 0 is NaN. Cuts keep indices that do not
-    # reach the dominant class out of the min. Ratios of sums below the normal range (maybe
-    # rounded up) and non-finite bounds count as 0. Returns x, bounds and last column maxima.
+    # Column p of x starts as the indicator of the support S of profile p (column p of mask),
+    # and (k @ x)_i = (K[S] x_S)_i for i in S; masks select, as inf * 0 is NaN. Cuts keep
+    # indices that do not reach the dominant class out of the min. Ratios of sums below the
+    # normal range (maybe rounded up) and non-finite bounds count as 0.
+    x = mask.astype(float)
     with np.errstate(all="ignore"):
         for _ in range(steps):
             x = np.where(mask, k @ x, 0.0)
@@ -159,7 +160,7 @@ def _radius_bounds(k: np.ndarray, mask: np.ndarray, x: np.ndarray, steps: int):
         kx = np.where(mask, k @ x, 0.0)
         ratios = np.where(x > 0, np.where(kx >= np.finfo(float).tiny, kx / x, 0.0), np.inf)
         bounds = ratios.min(0) * (1 - _BOUND_SLACK)
-    return x, np.where(np.isfinite(bounds), bounds, 0.0), kx.max(0)
+    return np.where(np.isfinite(bounds), bounds, 0.0)
 
 
 def _support_radii(k: np.ndarray, zeroed: np.ndarray) -> np.ndarray:
@@ -270,13 +271,15 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     rho(K[support]), with support the complement of ``zeroed``. Returns the
     minimal radius and every zeroed set within ``tol * max(max|K|, best)`` of
     it, in lexicographic order. K must be nonnegative. Capped like the minor
-    table (default n <= 20). Eigenvalues are computed in increasing bound order,
-    only while a Collatz-Wielandt lower bound on the radius (shrunk by a relative
-    slack of 1e-6) is within the tolerance of the best so far. One masked product
-    K @ X is a power step of a slice of profiles; small entries are cut to 0 so
-    the bound converges on reducible supports. The result is that of evaluating
-    all C(n, budget) profiles unless eigvals misstates a skipped profile's radius
-    by more than the slack. A non-finite optimal radius is refused.
+    table (default n <= 20). Every profile of a slice gets a Collatz-Wielandt
+    lower bound on its radius (shrunk by a relative slack of 1e-6) from a fixed
+    number of power steps, one masked product K @ X a step; small entries are cut
+    to 0 so the bound converges on reducible supports. Eigenvalues are computed a
+    few profiles at a time in increasing bound order, while a bound is within the
+    tolerance of the best so far or no radius so far is finite. The
+    result is that of evaluating all C(n, budget) profiles unless eigvals
+    misstates a skipped profile's radius by more than the slack. A non-finite
+    optimal radius is refused.
     """
     k = as_matrix(K)
     if (k < 0).any():
@@ -291,24 +294,19 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
     for zeroed in _subset_slices(n, budget, 4 * n):  # a power step holds ~4 n-vectors a profile
         mask = np.ones((n, len(zeroed)), dtype=bool)
         mask[zeroed.T, np.arange(len(zeroed))] = False  # column p: profile p's support
-        x, bounds, growth = _radius_bounds(k, mask, mask.astype(float), _FIRST_STEPS)
-        seed = int(growth.argmin()) if best == math.inf else -1  # the least growth seeds best
-        if seed >= 0:  # and goes to eigvals here only
-            best, evaluated = float(_support_radii(k, zeroed[[seed]])[0]), evaluated + 1
-            near.append((best, tuple((zeroed[seed] + 1).tolist())))
-        hopeful = np.flatnonzero(_mismatch(bounds - best, scale, best) <= tol)
-        hopeful = hopeful[hopeful != seed]
-        _, bounds, _ = _radius_bounds(k, mask[:, hopeful], x[:, hopeful], _MORE_STEPS)
-        hopeful, bounds = hopeful[np.argsort(bounds)], np.sort(bounds)
-        for start in range(0, len(hopeful), _CHUNK):
-            chunk = hopeful[start:start + _CHUNK]
-            chunk = chunk[_mismatch(bounds[start:start + _CHUNK] - best, scale, best) <= tol]
-            if not len(chunk):  # the bounds rise along hopeful and best only falls: none left
+        bounds = _radius_bounds(k, mask, _STEPS)
+        order = np.argsort(bounds)
+        for start in range(0, len(order), _CHUNK):
+            chunk = order[start:start + _CHUNK]
+            if best < math.inf:  # while no radius is finite, every chunk goes to eigvals
+                chunk = chunk[_mismatch(bounds[chunk] - best, scale, best) <= tol]
+            if not len(chunk):  # the bounds rise along order and best only falls: none left
                 break
             radii = _support_radii(k, zeroed[chunk])
             evaluated += len(chunk)
             best = min(best, float(radii.min()))
-            close = _mismatch(radii - best, scale, best) <= tol
+            with np.errstate(invalid="ignore"):  # inf - inf is no tie while best is inf
+                close = _mismatch(radii - best, scale, best) <= tol
             near += zip(radii[close].tolist(), map(tuple, (zeroed[chunk[close]] + 1).tolist()))
     _log.debug("budget search: eigvals on %d of %d profiles", evaluated, math.comb(n, budget))
     if not math.isfinite(best):

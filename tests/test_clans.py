@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class TestRankOneFactor:
             rank1_factor(block, tol=1e-9)
         u, v = rank1_factor(block, tol=1e-3)
         assert np.abs(block - np.outer(u, v)).max() <= 1e-3 * np.abs(block).max()
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError,
+                           match=re.escape("expected a matrix block, got shape (3,)")):
+            rank1_factor(np.ones(3))
+
+    def test_non_finite_block_rejected(self):
+        with pytest.raises(ValueError, match="^block entries must be finite$"):
+            rank1_factor([[1.0, np.inf], [1.0, 1.0]])
 
 
 class TestFindClans:
@@ -167,6 +177,12 @@ class TestPartialTranspose:
         matrix = np.eye(4)
         with pytest.raises(ValueError, match="tolerance"):
             partial_transpose(matrix, clan_at(matrix, (1, 2)), tol=tol)
+
+    def test_singleton_clan_rejected(self):
+        clan = Clan(alpha=(1,), v=np.ones(1), b=np.ones(3), c=np.ones(3), w=np.ones(1))
+        with pytest.raises(ValueError,
+                           match=re.escape("clan subset (1,) must have size between 2 and 2")):
+            partial_transpose(np.eye(4), clan)
 
     @pytest.mark.parametrize("factor", ["v", "b", "c", "w"])
     def test_nan_factors_rejected(self, factor):
@@ -314,6 +330,19 @@ class TestClassification:
         matrix = np.array([[1.0, 0.5], [0.5, 2.0]])
         outcome = classify_minor_equal_pair(matrix, matrix)
         assert outcome.kind == "identical"
+
+    # Minor-equal at tol 1e-9 to the pairs below: its determinant is 1 - 1e-10.
+    NEAR_IDENTITY = np.array([[1.0, 1e-5], [1e-5, 1.0]])
+
+    def test_symmetric_pair_differing_past_the_tolerance_is_unresolved(self):
+        # Both symmetric and minor-equal, but the entries differ by 1e-5.
+        outcome = classify_minor_equal_pair(self.NEAR_IDENTITY, np.eye(2))
+        assert (outcome.kind, outcome.witness) == ("unresolved", None)
+
+    def test_symmetric_source_without_a_similar_atomic_part_is_unresolved(self):
+        # The atomic part of the triangular K2 is the identity, not similar to K.
+        outcome = classify_minor_equal_pair(self.NEAR_IDENTITY, [[1.0, 0.0], [0.5, 1.0]])
+        assert (outcome.kind, outcome.witness) == ("unresolved", None)
 
     def test_symmetric_source_diagonally_similar(self):
         rng = np.random.default_rng(78)

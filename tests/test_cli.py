@@ -61,6 +61,10 @@ class TestMatrixFileFormat:
         text = "# a comment\n\n2\n0 1  # trailing note\n\n1 0\n"
         assert parse_matrix(text).tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
+    def test_comments_only_file_is_empty(self):
+        with pytest.raises(ValueError, match="^empty matrix file$"):
+            parse_matrix("# a comment\n\n  # another\n")
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(81)
         matrix = rng.uniform(-10, 10, (5, 5))
@@ -138,6 +142,12 @@ class TestRadiusAndSpectrum:
         path = write(tmp_path, "m.txt", np.eye(2))
         assert main(["radius", path, "--eta", "1"]) == 64
         assert "error" in capsys.readouterr().err
+
+    def test_non_finite_eta(self, tmp_path, capsys):
+        path = write(tmp_path, "K.txt", np.eye(2))
+        assert main(["radius", path, "--eta", "nan,1"]) == 64
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: eta components must be finite\n")
 
     def test_negative_eta(self, tmp_path):
         path = write(tmp_path, "m.txt", np.eye(2))
@@ -408,6 +418,16 @@ class TestMinimizeCommand:
 
     def test_negative_entries_rejected(self, rotation_file):
         assert main(["minimize", rotation_file, "--budget", "1"]) == 64
+
+    def test_overflowing_block_leaves_the_finite_optimum(self, tmp_path, capsys):
+        # Zeroing {3,4} keeps the block of radius 2e308; zeroing {1,2} keeps radius 2.
+        path = write(tmp_path, "blocks.txt", [[1e308, 1e308, 0, 0], [1e308, 1e308, 0, 0],
+                                              [0, 0, 1, 1], [0, 0, 1, 1]])
+        assert main(["minimize", path, "--budget", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal-radius: 2\n" in out
+        assert "optimal-set: {1,2}\n" in out
+        assert out.count("optimal-set:") == 1
 
     def test_full_budget(self, swap_file, capsys):
         assert main(["minimize", swap_file, "--budget", "2"]) == 0

@@ -103,6 +103,10 @@ class TestSubmatrix:
         with pytest.raises(ValueError, match="non-empty"):
             submatrix(SWAP, [], [1])
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("expected a matrix, got shape (3,)")):
+            submatrix(np.ones(3), [1], [1])
+
 
 class TestDeterminant:
     def test_identity(self):

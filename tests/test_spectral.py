@@ -43,6 +43,10 @@ from support import (
 
 
 class TestEtaValidation:
+    def test_non_finite_component_rejected(self):
+        with pytest.raises(ValueError, match="^eta components must be finite$"):
+            as_eta([np.nan, 1.0], 2)
+
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             as_eta([1.0, -0.5], 2)
@@ -169,6 +173,11 @@ class TestBooleanRadiusTable:
         assert not verdict.equal
         assert verdict.witness == (2,)
         assert verdict.max_discrepancy > 0.1
+
+    def test_comparison_refuses_tables_of_different_dimension(self):
+        with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
+            compare_boolean_tables(boolean_radius_table(np.eye(2)),
+                                   boolean_radius_table(np.eye(3)))
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
@@ -417,6 +426,16 @@ class TestBudgetMinimize:
         with pytest.raises(ValueError, match="not finite"):
             budget_minimize(np.full((2, 2), 1e308), 0)
 
+    @pytest.mark.parametrize("matrix, budget, expected", [
+        ([[1e308, 1e308, 0, 0], [1e308, 1e308, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 2,
+         (2.0, [(1, 2)])),
+        ([[1e308, 1e308, 0], [1e308, 1e308, 0], [0, 0, 1]], 1, (1e308, [(1,), (2,)])),
+    ], ids=["4x4", "3x3"])
+    def test_overflowing_profiles_leave_the_finite_optimum(self, matrix, budget, expected):
+        # Block diagonal: the radius, 2e308, of the upper block leaves the float range, and
+        # only the profiles that zero into that block have finite radii.
+        assert budget_minimize(matrix, budget) == expected
+
 
 @st.composite
 def separated_budget_case(draw):
@@ -520,22 +539,20 @@ def bounded_matrix(draw):
 
 
 class TestRadiusBounds:
+    @pytest.mark.parametrize("steps", [0, 1, 3, spectral._STEPS])
     @settings(max_examples=60, deadline=None)
-    @given(bounded_matrix())
-    def test_no_bound_exceeds_the_radius(self, matrix):
-        # Every non-empty support at once, after the cheap pass and after the pass over
-        # survivors, against the eigvals radius of its block.
+    @given(matrix=bounded_matrix())
+    def test_no_bound_exceeds_the_radius(self, steps, matrix):
+        # Every non-empty support at once, after a few power steps and after the search's
+        # own count, against the eigvals radius of its block.
         n = len(matrix)
         supports = list(index_sets(n))
         mask = np.zeros((n, len(supports)), dtype=bool)
         for p, support in enumerate(supports):
             mask[np.array(support) - 1, p] = True
         radii = boolean_radius_table(matrix).array
-        x, first, _ = spectral._radius_bounds(matrix, mask, mask.astype(float),
-                                              spectral._FIRST_STEPS)
-        _, more, _ = spectral._radius_bounds(matrix, mask, x, spectral._MORE_STEPS)
-        assert (first >= 0).all() and (first <= radii).all()
-        assert (more >= 0).all() and (more <= radii).all()
+        bounds = spectral._radius_bounds(matrix, mask, steps)
+        assert (bounds >= 0).all() and (bounds <= radii).all()
 
 
 class TestScalingIdentities:
@@ -570,6 +587,9 @@ class TestScalingIdentities:
 
 
 class TestMultisetMatching:
+    def test_empty_multisets_match_exactly(self):
+        assert spectrum_mismatch([], []) == 0.0
+
     def test_length_mismatch_is_infinite(self):
         assert spectrum_mismatch([1.0], [1.0, 2.0]) == float("inf")
 
