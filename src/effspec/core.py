@@ -9,7 +9,6 @@ All functions are pure: they never mutate their arguments, so they are safe
 to call concurrently.
 """
 
-import itertools
 import logging
 import math
 import os
@@ -146,11 +145,11 @@ def complement(alpha, n: int) -> IndexSet:
     return tuple(i for i in range(1, n + 1) if i not in chosen)
 
 
-def index_sets(n: int, min_size: int = 1, max_size: int | None = None):
+def index_sets(n: int):
     """Yield every index subset of {1, ..., n}, size-then-lex ordered."""
-    top = n if max_size is None else max_size
-    for size in range(min_size, top + 1):
-        yield from itertools.combinations(range(1, n + 1), size)
+    for size in range(1, n + 1):
+        for chosen in _subset_slices(n, size, size):
+            yield from zip(*(chosen + 1).T.tolist())
 
 
 def submatrix(M, rows, cols) -> np.ndarray:
@@ -218,19 +217,23 @@ class SubsetTable:
 
 
 def _subset_at(n: int, position: int) -> IndexSet:
-    return next(itertools.islice(index_sets(n), position, None))
+    # Skip the smaller sizes, then unrank one rank: cells of _SLICE_BYTES give one-subset slices.
+    for size in range(1, n + 1):
+        if 0 <= position < math.comb(n, size):
+            return tuple((next(_subset_slices(n, size, _SLICE_BYTES, position))[0] + 1).tolist())
+        position -= math.comb(n, size)
+    raise IndexError(f"subset positions for n={n} run from 0 to {2 ** n - 2}")
 
 
-def _subset_slices(n: int, size: int, cells: int):
-    # Every subset of range(n) of one size, in lex order, as (count, size) index
+def _subset_slices(n: int, size: int, cells: int, start: int = 0):
+    # The subsets of range(n) of one size from lex rank ``start`` on, as (count, size) index
     # arrays, sliced so the stacked blocks (``cells`` float64s a subset) fit _SLICE_BYTES.
     # The subset of lex rank r is n - 1 - d_i, with C(n, size) - 1 - r = sum C(d_i, size - i)
     # in the combinatorial number system: d_i is the largest d with C(d, size - i) <= the rest.
     per, total = max(1, _SLICE_BYTES // (8 * max(1, cells))), math.comb(n, size)
-    binomials = np.array([[math.comb(d, m) for d in range(n)] for m in range(size, 0, -1)],
-                         dtype=np.intp).reshape(size, n)
-    for start in range(0, total, per):
-        rest = total - 1 - np.arange(start, min(start + per, total), dtype=np.intp)
+    binomials = np.array([[math.comb(d, m) for d in range(n)] for m in range(size, 0, -1)])
+    for first in range(start, total, per):
+        rest = total - 1 - np.arange(first, min(first + per, total), dtype=np.intp)
         chosen = np.empty((len(rest), size), dtype=np.intp)
         for column, row in enumerate(binomials):
             d = np.searchsorted(row, rest, side="right") - 1

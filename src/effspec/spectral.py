@@ -286,8 +286,8 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
         raise ValueError("budget minimization needs a nonnegative matrix")
     n = k.shape[0]
     _enumeration_cap(n, what="budget minimization sweep")
-    if not 0 <= budget <= n:
-        raise ValueError(f"budget must be between 0 and {n}, got {budget}")
+    if type(budget) is bool or not isinstance(budget, (int, np.integer)) or not 0 <= budget <= n:
+        raise ValueError(f"budget must be an integer between 0 and {n}, got {budget!r}")
     _check_tol(tol)
     # best only falls and b + tol * max(scale, b) grows with b: no skipped profile can tie.
     scale, best, near, evaluated = np.abs(k).max(), math.inf, [], 0

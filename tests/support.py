@@ -12,7 +12,9 @@ subsets, minor-equality verdicts through two whole tables instead of one
 joint sweep that stops at the first mismatch, rank-1 fits and the clan
 scan through one pivot search per block instead of one batched fit per slice,
 and the slices of a sweep through ``itertools.combinations`` instead of
-unranking in the combinatorial number system.
+unranking in the combinatorial number system. Every oracle enumerates its
+subsets with ``itertools.combinations`` (``subsets_by_combinations``), never
+with the library's ``index_sets``, which takes its subsets from that unranking.
 """
 
 import itertools
@@ -26,7 +28,6 @@ from effspec import (
     RankOneFactorError,
     all_principal_minors,
     complement,
-    index_sets,
     spectral_radius,
     submatrix,
 )
@@ -72,6 +73,13 @@ def random_clan_instance(rng, n, m=None, low=-1.0, high=1.0):
     return matrix, tuple(range(1, m + 1)), v, b, c, w
 
 
+def subsets_by_combinations(n, sizes=None):
+    """The subsets of {1, ..., n} of each size in ``sizes`` (default 1, ..., n), in
+    size-then-lex order, from itertools.combinations."""
+    for size in range(1, n + 1) if sizes is None else sizes:
+        yield from itertools.combinations(range(1, n + 1), size)
+
+
 def characteristic_polynomial_by_minors(M):
     """Coefficients of det(M - t*I), position k for t**k, from minor sums.
 
@@ -81,7 +89,7 @@ def characteristic_polynomial_by_minors(M):
     table = all_principal_minors(M)
     sums = np.zeros(table.n + 1)
     sums[0] = 1.0
-    for alpha, value in zip(index_sets(table.n), table.array.tolist()):
+    for alpha, value in zip(subsets_by_combinations(table.n), table.array.tolist()):
         sums[len(alpha)] += value
     n = table.n
     return np.array([(-1.0) ** k * sums[n - k] for k in range(n + 1)])
@@ -95,7 +103,7 @@ def minor_table_by_lu(M):
     m = np.asarray(M, dtype=float)
     values = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        for alpha in index_sets(m.shape[0]):
+        for alpha in subsets_by_combinations(m.shape[0]):
             if len(alpha) == 1:
                 values.append(float(m[alpha[0] - 1, alpha[0] - 1]))
             else:
@@ -115,7 +123,8 @@ def minor_comparison_by_tables(K, K2, tol=1e-9):
     """
     top = float(max(np.abs(K).max(), np.abs(K2).max()))
     worst = 0.0
-    rows = zip(index_sets(len(K)), minor_table_by_lu(K).tolist(), minor_table_by_lu(K2).tolist())
+    rows = zip(subsets_by_combinations(len(K)), minor_table_by_lu(K).tolist(),
+               minor_table_by_lu(K2).tolist())
     for alpha, x, y in rows:
         scale = min(math.prod([top] * len(alpha)), sys.float_info.max)
         gap = abs(x - y)
@@ -131,7 +140,7 @@ def radius_table_by_subset(K):
     k = np.asarray(K, dtype=float)
     return np.array([abs(float(k[alpha[0] - 1, alpha[0] - 1])) if len(alpha) == 1
                      else spectral_radius(submatrix(k, alpha, alpha))
-                     for alpha in index_sets(k.shape[0])])
+                     for alpha in subsets_by_combinations(k.shape[0])])
 
 
 def subset_slices_by_combinations(n, size, cells, slice_bytes):
@@ -150,7 +159,7 @@ def budget_search_by_profile(K, budget, tol=1e-9):
     k = np.asarray(K, dtype=float)
     n = k.shape[0]
     results = []
-    for zeroed in index_sets(n, min_size=budget, max_size=budget):
+    for zeroed in subsets_by_combinations(n, [budget]):
         support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
         radius = spectral_radius(submatrix(k, support, support)) if support else 0.0
         results.append((zeroed, radius))
@@ -184,7 +193,7 @@ def brute_force_clan_subsets(K, tol=1e-9):
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     found = []
-    for alpha in index_sets(n, min_size=2, max_size=n - 2):
+    for alpha in subsets_by_combinations(n, range(2, n - 1)):
         rest = complement(alpha, n)
         if rank_le_one_by_minors(submatrix(K, alpha, rest), tol) \
                 and rank_le_one_by_minors(submatrix(K, rest, alpha), tol):
@@ -227,7 +236,7 @@ def clan_scan_by_subset(K, tol=1e-9):
     k = np.asarray(K, dtype=float)
     n = k.shape[0]
     found = []
-    for alpha in index_sets(n, min_size=2, max_size=n - 2):
+    for alpha in subsets_by_combinations(n, range(2, n - 1)):
         rest = complement(alpha, n)
         try:
             v, b = rank1_fit_by_pivot(submatrix(k, alpha, rest), tol)
@@ -292,7 +301,7 @@ def maximal_irreducible_sets(K, pattern_tol=0.0):
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    irreducible = [alpha for alpha in index_sets(n)
+    irreducible = [alpha for alpha in subsets_by_combinations(n)
                    if irreducible_by_closure(submatrix(K, alpha, alpha), pattern_tol)]
     maximal = []
     for alpha in irreducible:

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import re
@@ -35,6 +36,7 @@ from effspec import (
     submatrix,
     verify_partial_transpose_invariance,
 )
+from effspec.core import _subset_at
 from support import characteristic_polynomial_by_minors, random_clan_instance, random_nonnegative
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -352,6 +354,41 @@ def test_every_sweep_obeys_the_one_enumeration_limit(sweep, monkeypatch):
     with pytest.raises(EnumerationCapError) as info:
         sweep(np.eye(31))
     assert (info.value.n, info.value.cap) == (31, 24)
+
+
+class TestSubsetOrder:
+    """index_sets, _subset_at and the sweeps share one size-then-lex order."""
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_index_sets_match_combinations(self, n):
+        expected = [alpha for size in range(1, n + 1)
+                    for alpha in itertools.combinations(range(1, n + 1), size)]
+        assert list(index_sets(n)) == expected
+
+    def test_subset_at_every_position(self):
+        for n in range(1, 11):
+            assert [_subset_at(n, p) for p in range(2 ** n - 1)] == list(index_sets(n))
+
+    @pytest.mark.parametrize("n", [20, 24])
+    def test_subset_at_first_and_last_of_every_size(self, n):
+        before = 0  # positions of the smaller sizes
+        for size in range(1, n + 1):
+            assert _subset_at(n, before) == tuple(range(1, size + 1))
+            before += math.comb(n, size)
+            assert _subset_at(n, before - 1) == tuple(range(n - size + 1, n + 1))
+        assert before == 2 ** n - 1
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_subset_at_refuses_positions_outside_the_order(self, n):
+        for position in (-1, 2 ** n - 1):
+            with pytest.raises(IndexError, match="subset positions"):
+                _subset_at(n, position)
+
+    def test_table_names_its_last_subset(self):
+        array = np.zeros(2 ** 20 - 1)
+        array[-1] = np.inf
+        with pytest.raises(ValueError, match=re.escape(f"subset {tuple(range(1, 21))} is not")):
+            SubsetTable(20, array)
 
 
 class TestSubsetTable:

@@ -1,4 +1,5 @@
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,19 @@ def test_a_failing_property_shows_its_falsifying_example(tmp_path):
                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert result.returncode == 1, result.stdout + result.stderr
     assert "Falsifying example: test_below_five(" in result.stdout
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # Importing the CLI may add standard-library modules and effspec itself to what the
+    # interpreter and numpy load. The baseline is taken after numpy, not from an empty set,
+    # because a site hook can load third-party modules before any user code runs.
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import effspec.cli\n"
+            "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'effspec', 'numpy'}))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(effspec.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -174,6 +174,15 @@ class TestBooleanRadiusTable:
         assert verdict.witness == (2,)
         assert verdict.max_discrepancy > 0.1
 
+    def test_comparison_names_the_last_subset(self):
+        # Two n = 12 tables that differ only at the full set, the last of 4 095 values.
+        ones = np.ones(2 ** 12 - 1)
+        last = ones.copy()
+        last[-1] = 2.0
+        verdict = compare_boolean_tables(SubsetTable(12, ones), SubsetTable(12, last))
+        assert not verdict.equal
+        assert verdict.witness == tuple(range(1, 13))
+
     def test_comparison_refuses_tables_of_different_dimension(self):
         with pytest.raises(ValueError, match="^dimension mismatch: 2 vs 3$"):
             compare_boolean_tables(boolean_radius_table(np.eye(2)),
@@ -401,6 +410,14 @@ class TestBudgetMinimize:
     def test_budget_out_of_range(self):
         with pytest.raises(ValueError, match="budget"):
             budget_minimize(TWO_SWAPS, 5)
+
+    @pytest.mark.parametrize("budget", [1.0, 2.5, True, "2"], ids=repr)
+    def test_non_integer_budget_refused(self, budget):
+        with pytest.raises(ValueError, match=f"budget must be an integer.*got {budget!r}"):
+            budget_minimize(np.eye(3), budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        assert budget_minimize(np.eye(3), np.int64(1)) == budget_minimize(np.eye(3), 1)
 
     def test_negative_matrix_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
