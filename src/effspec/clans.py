@@ -29,7 +29,6 @@ from .core import (
     _subset_slices,
     as_index_set,
     as_matrix,
-    complement,
 )
 from .spectral import EqualityVerdict, minors_equal
 from .structure import (
@@ -219,7 +218,7 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
     if not 2 <= len(a) <= n - 2:
         raise ValueError(f"clan subset {a} must have size between 2 and {n - 2}")
     rows = [i - 1 for i in a]
-    cols = [j - 1 for j in complement(a, n)]
+    cols = _complements(np.array([rows]), n)[0]
     _check_tol(tol)
     # np.maximum keeps a NaN gap, which then fails the test like any mismatch.
     gap = np.maximum(np.abs(k[np.ix_(rows, cols)] - np.outer(clan.v, clan.b)).max(initial=0.0),

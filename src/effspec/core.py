@@ -1,9 +1,9 @@
 """Dense real-matrix primitives.
 
-Determinants, characteristic polynomials, eigenvalues and principal minors,
-plus the subset table and the enumeration cap that every subset sweep
-shares. Index sets are 1-based sorted tuples, matching the usual row/column
-numbering of matrix notation.
+Characteristic polynomials, eigenvalues and principal minors, plus the
+subset table and the enumeration cap that every subset sweep shares. Index
+sets are 1-based sorted tuples, matching the usual row/column numbering of
+matrix notation.
 
 All functions are pure: they never mutate their arguments, so they are safe
 to call concurrently.
@@ -23,11 +23,8 @@ __all__ = [
     "SubsetTable",
     "as_matrix",
     "as_index_set",
-    "complement",
     "index_sets",
     "submatrix",
-    "determinant",
-    "principal_minor",
     "all_principal_minors",
     "characteristic_polynomial",
     "eigenvalues",
@@ -87,8 +84,8 @@ def _number(token: str, kind):
 
 def _check_tol(tol: float) -> float:
     # NaN fails every comparison and infinity accepts every mismatch, so
-    # either would turn a tolerance test into a fixed answer.
-    if not 0.0 <= tol < math.inf:
+    # either would turn a tolerance test into a fixed answer; True would read as 1.
+    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
 
@@ -128,21 +125,18 @@ def as_matrix(entries) -> np.ndarray:
 
 def as_index_set(alpha, n: int) -> IndexSet:
     """Normalize integral ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
-    given = set(alpha)
-    members = tuple(sorted({int(i) for i in given}))
-    if set(members) != given:
-        raise ValueError(f"index set members must be integers, got {given}")
+    given = list(alpha)
+    try:  # int() truncates 1.5 and reads a boolean mask as 0s and 1s; NaN and inf have no int
+        members = tuple(sorted({int(i) for i in given}))
+    except (OverflowError, ValueError):
+        members = ()
+    if set(members) != set(given) or any(isinstance(i, (bool, np.bool_)) for i in given):
+        raise ValueError(f"index set members must be integers, got {set(given)}")
     if not members:
         raise ValueError("index set must be non-empty")
     if members[0] < 1 or members[-1] > n:
         raise ValueError(f"index set {members} out of range for dimension {n}")
     return members
-
-
-def complement(alpha, n: int) -> IndexSet:
-    """Complement of an index set inside {1, ..., n} (may be empty)."""
-    chosen = set(as_index_set(alpha, n))
-    return tuple(i for i in range(1, n + 1) if i not in chosen)
 
 
 def index_sets(n: int):
@@ -163,21 +157,6 @@ def submatrix(M, rows, cols) -> np.ndarray:
     r = as_index_set(rows, m.shape[0])
     c = as_index_set(cols, m.shape[1])
     return m[np.ix_([i - 1 for i in r], [j - 1 for j in c])]
-
-
-def determinant(M) -> float:
-    """Determinant via pivoted LU elimination; exact for 1x1 matrices."""
-    m = as_matrix(M)
-    if m.shape[0] == 1:
-        return float(m[0, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # Singular input is a valid question with answer 0, not a warning.
-        return float(np.linalg.det(m))
-
-
-def principal_minor(M, alpha) -> float:
-    """Determinant of the principal submatrix on rows and columns ``alpha``."""
-    return determinant(submatrix(M, alpha, alpha))
 
 
 @dataclass(frozen=True, eq=False)

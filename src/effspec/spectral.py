@@ -42,7 +42,6 @@ from .core import (
 __all__ = [
     "EqualityVerdict",
     "as_eta",
-    "is_boolean_eta",
     "effective_radius",
     "effective_spectrum",
     "boolean_radius_table",
@@ -90,12 +89,6 @@ def as_eta(eta, n: int) -> np.ndarray:
     if (e < 0).any():
         raise ValueError("eta components must be nonnegative")
     return e
-
-
-def is_boolean_eta(eta) -> bool:
-    """Whether every component of ``eta`` is exactly 0 or 1."""
-    e = np.asarray(eta, dtype=float)
-    return bool(np.isin(e, (0.0, 1.0)).all())
 
 
 def _scaled(K, eta) -> np.ndarray:

@@ -18,28 +18,17 @@ import numpy as np
 from .core import IndexSet, _check_tol, _matrix_pair, _mismatch, as_matrix
 
 __all__ = [
-    "Digraph",
     "Partition",
     "SimilarityWitness",
     "pattern_tolerance",
-    "adjacency_digraph",
     "is_irreducible",
     "atoms",
     "atomic_part",
-    "is_completely_reducible",
     "diagonal_similarity_witness",
 ]
 
 #: Relative factor for the default zero-pattern tolerance.
 PATTERN_TOL_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """Directed graph on vertices {1, ..., n}; self-loops allowed."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -77,33 +66,19 @@ def pattern_tolerance(K, pattern_tol: float | None = None) -> float:
     return PATTERN_TOL_REL * float(np.abs(as_matrix(K)).max())
 
 
-def _pattern(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
-    # The validated matrix and its zero pattern: True where |K_ij| exceeds the tolerance.
+def _closure(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    # The validated matrix and its reachability: reach[i, j] when a directed path
+    # (possibly empty) joins i to j, an edge being an entry above the pattern
+    # tolerance. Each squaring of I | pattern doubles the path length covered;
+    # the float product counts paths through a midpoint, at most n, so ``> 0`` is exact.
     k = as_matrix(K)
-    return k, np.abs(k) > pattern_tolerance(k, pattern_tol)
-
-
-def _closure(K, pattern_tol: float | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The matrix, its pattern, and reachability: reach[i, j] when a directed path
-    # (possibly empty) joins i to j. Each squaring of I | pattern doubles the
-    # path length covered; the float product counts paths through a midpoint,
-    # at most n, so ``> 0`` is exact.
-    k, pattern = _pattern(K, pattern_tol)
-    reach = pattern | np.eye(len(k), dtype=bool)
+    reach = (np.abs(k) > pattern_tolerance(k, pattern_tol)) | np.eye(len(k), dtype=bool)
     while True:
         step = reach.astype(float)
         grown = step @ step > 0
         if np.array_equal(grown, reach):
-            return k, pattern, reach
+            return k, reach
         reach = grown
-
-
-def adjacency_digraph(K, pattern_tol: float | None = None) -> Digraph:
-    """Digraph with an edge (i, j) whenever |K_ij| exceeds the tolerance."""
-    k, pattern = _pattern(K, pattern_tol)
-    rows, cols = np.nonzero(pattern)
-    edges = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
-    return Digraph(n=k.shape[0], edges=edges)
 
 
 def is_irreducible(K, pattern_tol: float | None = None) -> bool:
@@ -113,12 +88,12 @@ def is_irreducible(K, pattern_tol: float | None = None) -> bool:
     block in each direction. 1x1 matrices are irreducible regardless of
     their entry (there is no proper split).
     """
-    return bool(_closure(K, pattern_tol)[2].all())
+    return bool(_closure(K, pattern_tol)[1].all())
 
 
 def atoms(K, pattern_tol: float | None = None) -> Partition:
     """Maximal irreducible index sets: the classes of mutual reachability."""
-    k, _, reach = _closure(K, pattern_tol)
+    k, reach = _closure(K, pattern_tol)
     leader = (reach & reach.T).argmax(axis=1)  # smallest member of each index's atom
     blocks = (tuple((np.flatnonzero(leader == i) + 1).tolist()) for i in np.unique(leader))
     return Partition(n=k.shape[0], blocks=tuple(blocks))
@@ -129,18 +104,8 @@ def atomic_part(K, pattern_tol: float | None = None) -> np.ndarray:
 
     Idempotent, and preserves the effective spectrum of K.
     """
-    k, _, reach = _closure(K, pattern_tol)
+    k, reach = _closure(K, pattern_tol)
     return np.where(reach & reach.T, k, 0.0)
-
-
-def is_completely_reducible(K, pattern_tol: float | None = None) -> bool:
-    """Whether K equals its atomic part within the pattern tolerance.
-
-    Equivalently, whenever a directed path joins i to j there is also one
-    from j back to i.
-    """
-    _, pattern, reach = _closure(K, pattern_tol)
-    return not (pattern & ~reach.T).any()
 
 
 def diagonal_similarity_witness(K, K2, tol: float = 1e-9,

@@ -14,7 +14,9 @@ scan through one pivot search per block instead of one batched fit per slice,
 and the slices of a sweep through ``itertools.combinations`` instead of
 unranking in the combinatorial number system. Every oracle enumerates its
 subsets with ``itertools.combinations`` (``subsets_by_combinations``), never
-with the library's ``index_sets``, which takes its subsets from that unranking.
+with the library's ``index_sets``, which takes its subsets from that unranking,
+and takes blocks and complements from its own ``submatrix`` and ``complement``,
+plain NumPy indexing, never from the library's index-set validation.
 """
 
 import itertools
@@ -27,10 +29,20 @@ from effspec import (
     Clan,
     RankOneFactorError,
     all_principal_minors,
-    complement,
     spectral_radius,
-    submatrix,
 )
+
+
+def complement(alpha, n):
+    """The members of {1, ..., n} outside the 1-based index set ``alpha``, in order."""
+    chosen = set(alpha)
+    return tuple(i for i in range(1, n + 1) if i not in chosen)
+
+
+def submatrix(M, rows, cols):
+    """Copy of the block of ``M`` on the given 1-based rows and columns."""
+    return np.asarray(M, dtype=float)[np.ix_(np.asarray(rows, dtype=int) - 1,
+                                             np.asarray(cols, dtype=int) - 1)]
 
 
 def random_nonnegative(rng, n, density=0.65, low=0.2, high=1.2):

@@ -20,11 +20,10 @@ from effspec import (
     multisets_match,
     partial_transpose,
     rank1_factor,
-    submatrix,
     verify_partial_transpose_invariance,
 )
-from effspec.core import EnumerationCapError, complement, index_sets
-from support import brute_force_clan_subsets, random_clan_instance
+from effspec.core import EnumerationCapError, index_sets
+from support import brute_force_clan_subsets, complement, random_clan_instance, submatrix
 
 
 class TestRankOneFactor:
@@ -75,7 +74,7 @@ class TestRankOneFactor:
 
 
 class TestFindClans:
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
     def test_bad_tolerance_rejected(self, tol):
         # Unchecked, NaN passes every rank test and makes every subset a clan;
         # matrices of size up to 3 have no subset to test, but still refuse.
@@ -137,7 +136,7 @@ class TestFindClans:
         with pytest.raises(EnumerationCapError):
             is_clan_free(np.eye(5))
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True])
     def test_clan_at_checks_the_tolerance_before_the_size(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             clan_at(np.eye(5), (1,), tol=tol)
@@ -171,7 +170,7 @@ class TestFindClans:
 
 
 class TestPartialTranspose:
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True])
     def test_bad_tolerance_rejected(self, tol):
         # NaN and infinity would accept any factors as a reproduction of K.
         matrix = np.eye(4)

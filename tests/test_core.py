@@ -20,7 +20,6 @@ from effspec import (
     clan_at,
     classify_minor_equal_pair,
     compare_boolean_tables,
-    determinant,
     diagonal_similarity_witness,
     eigenvalues,
     find_clans,
@@ -29,7 +28,6 @@ from effspec import (
     minors_equal,
     multisets_match,
     partial_transpose,
-    principal_minor,
     same_effective_family,
     signed_equality_check,
     spectral_radius,
@@ -68,7 +66,6 @@ class TestValidation:
 
     def test_one_by_one_supported(self):
         m = as_matrix([[3.5]])
-        assert determinant(m) == 3.5
         assert spectral_radius(m) == 3.5
         assert all_principal_minors(m).array.tolist() == [3.5]
 
@@ -97,7 +94,13 @@ class TestSubmatrix:
         with pytest.raises(ValueError, match="integers"):
             as_index_set([1.9, 2.2], 4)
         with pytest.raises(ValueError, match="integers"):
-            principal_minor(np.diag([1.0, 2.0, 3.0]), [1.7])
+            all_principal_minors(np.diag([1.0, 2.0, 3.0]))[(1.7,)]
+        # A boolean mask is no index set: [True] * 3 would read as the subset {1}.
+        for members in ([True, True, True], [np.True_], [float("inf")], [float("nan")]):
+            with pytest.raises(ValueError, match="^index set members must be integers"):
+                as_index_set(members, 3)
+        with pytest.raises(ValueError, match="^index set members must be integers"):
+            all_principal_minors(np.diag([2.0, 3.0, 5.0]))[[True, True, True]]
 
     def test_out_of_range_and_empty(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -113,18 +116,18 @@ class TestSubmatrix:
 class TestDeterminant:
     def test_identity(self):
         for n in (1, 2, 5):
-            assert determinant(np.eye(n)) == pytest.approx(1.0, abs=1e-14)
+            assert all_principal_minors(np.eye(n)).array[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_swap_and_rotation(self):
-        assert determinant(SWAP) == pytest.approx(-1.0, abs=1e-14)
-        assert determinant(ROTATION) == pytest.approx(1.0, abs=1e-14)
+        assert all_principal_minors(SWAP).array[-1] == pytest.approx(-1.0, abs=1e-14)
+        assert all_principal_minors(ROTATION).array[-1] == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_eigenvalue_product(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(1, 9))
             m = rng.uniform(-1, 1, (n, n))
-            det = determinant(m)
+            det = all_principal_minors(m).array[-1]
             prod = complex(np.prod(eigenvalues(m)))
             assert abs(det - prod) <= 1e-8 * max(1.0, abs(det), abs(prod))
 
@@ -153,7 +156,7 @@ class TestCharacteristicPolynomial:
         rng = np.random.default_rng(5)
         m = rng.uniform(-2, 2, (5, 5))
         coeffs = characteristic_polynomial(m)
-        assert coeffs[0] == pytest.approx(determinant(m), rel=1e-10)
+        assert coeffs[0] == pytest.approx(all_principal_minors(m).array[-1], rel=1e-10)
         assert coeffs[-1] == pytest.approx(-1.0)
 
     def test_minor_sum_path_matches_trace_recursion(self):
@@ -268,11 +271,11 @@ def matrix_eta_subset(draw):
 class TestPrincipalMinors:
     def test_singletons_are_diagonal_entries(self):
         m = np.array([[4.0, 7.0], [2.0, -3.0]])
-        assert principal_minor(m, [1]) == 4.0
-        assert principal_minor(m, [2]) == -3.0
+        assert all_principal_minors(m)[[1]] == 4.0
+        assert all_principal_minors(m)[[2]] == -3.0
 
     def test_swap_full_minor(self):
-        assert principal_minor(SWAP, [1, 2]) == pytest.approx(-1.0)
+        assert all_principal_minors(SWAP)[[1, 2]] == pytest.approx(-1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(matrix_eta_subset())
@@ -280,8 +283,8 @@ class TestPrincipalMinors:
         matrix, eta, alpha = case
         scaled = matrix * eta  # matrix @ diag(eta)
         factor = float(np.prod([eta[i - 1] for i in alpha]))
-        lhs = principal_minor(scaled, alpha)
-        rhs = factor * principal_minor(matrix, alpha)
+        lhs = all_principal_minors(scaled)[alpha]
+        rhs = factor * all_principal_minors(matrix)[alpha]
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
     def test_table_identity(self):

@@ -1,5 +1,6 @@
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,14 @@ def test_exports_resolve():
 def test_module_exports_are_package_exports(module):
     names = importlib.import_module(f"effspec.{module}").__all__
     assert set(names) <= set(effspec.__all__)
+
+
+def test_readme_names_every_export():
+    # The README's public-API list must follow every change of an ``__all__``.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    unnamed = [name for name in effspec.__all__
+               if not re.search(rf"(?<!\w){re.escape(name)}(?!\w)", readme)]
+    assert unnamed == []
 
 
 def test_a_failing_property_shows_its_falsifying_example(tmp_path):

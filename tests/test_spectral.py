@@ -23,14 +23,12 @@ from effspec import (
     effective_radius,
     effective_spectrum,
     index_sets,
-    is_boolean_eta,
     minors_equal,
     multisets_match,
     same_effective_family,
     scaling_identities_check,
     signed_equality_check,
     spectrum_mismatch,
-    submatrix,
 )
 import effspec
 from effspec import core, spectral
@@ -39,6 +37,7 @@ from support import (
     budget_search_by_profile,
     random_nonnegative,
     sparse_irreducible,
+    submatrix,
 )
 
 
@@ -54,10 +53,6 @@ class TestEtaValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             effective_radius(np.eye(2), [1.0, 1.0, 1.0])
-
-    def test_boolean_predicate(self):
-        assert is_boolean_eta([0.0, 1.0, 1.0])
-        assert not is_boolean_eta([0.5, 1.0])
 
 
 class TestEffectiveRadius:
@@ -218,7 +213,7 @@ class TestMinorsEqual:
         with pytest.raises(ValueError, match="mismatch"):
             minors_equal(np.eye(2), np.eye(3))
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
     def test_bad_tolerance_rejected(self, tol, zero_diag_pair):
         swap, rotation = zero_diag_pair
         with pytest.raises(ValueError, match="tolerance"):
@@ -433,7 +428,7 @@ class TestBudgetMinimize:
         monkeypatch.setenv("EFFSPEC_MAX_N", "21")
         assert budget_minimize(np.eye(21), 21) == (0.0, [tuple(range(1, 22))])
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             budget_minimize(TWO_SWAPS, 1, tol=tol)

@@ -4,13 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from effspec import (
-    adjacency_digraph,
     atomic_part,
     atoms,
     diagonal_similarity_witness,
     effective_spectrum,
     eigenvalues,
-    is_completely_reducible,
     is_irreducible,
     minors_equal,
     multisets_match,
@@ -28,23 +26,15 @@ UPPER = np.array([[1.0, 5.0], [0.0, 2.0]])
 
 
 class TestAdjacency:
-    def test_identity_has_self_loops_only(self):
-        graph = adjacency_digraph(np.eye(2))
-        assert graph.edges == {(1, 1), (2, 2)}
-
-    def test_swap_edges(self):
-        graph = adjacency_digraph([[0, 1], [1, 0]])
-        assert graph.edges == {(1, 2), (2, 1)}
-
-    def test_single_directed_edge(self):
-        graph = adjacency_digraph([[0, 1], [0, 0]])
-        assert graph.edges == {(1, 2)}
-
     def test_pattern_tolerance_suppresses_round_off(self):
-        matrix = np.array([[1.0, 1e-15], [0.0, 1.0]])
-        assert adjacency_digraph(matrix).edges == {(1, 1), (2, 2)}
-        assert adjacency_digraph(matrix, pattern_tol=0.0).edges == {
-            (1, 1), (1, 2), (2, 2)}
+        # The edge 1 -> 2 is round-off at the default tolerance and closes a cycle at 0.
+        matrix = np.array([[1.0, 1e-15], [1.0, 1.0]])
+        assert not is_irreducible(matrix)
+        assert atoms(matrix).blocks == ((1,), (2,))
+        assert np.array_equal(atomic_part(matrix), np.eye(2))
+        assert is_irreducible(matrix, pattern_tol=0.0)
+        assert atoms(matrix, pattern_tol=0.0).blocks == ((1, 2),)
+        assert np.array_equal(atomic_part(matrix, pattern_tol=0.0), matrix)
         assert pattern_tolerance(matrix) == pytest.approx(1e-12)
 
 
@@ -155,23 +145,6 @@ class TestTransposeInvariance:
                                    effective_spectrum(matrix.T, eta), tol=1e-8)
 
 
-class TestCompletelyReducible:
-    def test_symmetric_pattern(self):
-        rng = np.random.default_rng(51)
-        matrix = random_nonnegative(rng, 4, density=0.5)
-        symmetric = matrix + matrix.T
-        assert is_completely_reducible(symmetric)
-
-    def test_triangular_is_not(self):
-        assert not is_completely_reducible(UPPER)
-
-    def test_block_diagonal_is(self):
-        matrix = np.zeros((4, 4))
-        matrix[:2, :2] = [[0, 1], [1, 0]]
-        matrix[2:, 2:] = [[0, 2], [3, 0]]
-        assert is_completely_reducible(matrix)
-
-
 class TestDiagonalSimilarityWitness:
     def test_self_similarity_is_all_ones(self):
         rng = np.random.default_rng(52)
@@ -243,7 +216,7 @@ class TestDiagonalSimilarityWitness:
         assert diagonal_similarity_witness(matrix, other, pattern_tol=0.0) is not None
         assert diagonal_similarity_witness(matrix, other) is None
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
     def test_bad_tolerance_rejected(self, tol):
         # Not similar: the cycle products 1 and 5 differ.
         assert diagonal_similarity_witness([[1, 1], [1, 1]], [[1, 5], [1, 1]]) is None
@@ -273,16 +246,13 @@ class TestDiagonalSimilarityWitness:
 
 @pytest.mark.parametrize("call", [
     pytest.param(lambda t: pattern_tolerance(np.eye(2), t), id="pattern_tolerance"),
-    pytest.param(lambda t: adjacency_digraph(np.eye(2), t), id="adjacency_digraph"),
     pytest.param(lambda t: is_irreducible([[0, 1], [1, 0]], t), id="is_irreducible"),
     pytest.param(lambda t: atoms(np.eye(2), t), id="atoms"),
     pytest.param(lambda t: atomic_part(np.eye(2), t), id="atomic_part"),
-    pytest.param(lambda t: is_completely_reducible(np.eye(2), t),
-                 id="is_completely_reducible"),
     pytest.param(lambda t: diagonal_similarity_witness(np.eye(2), np.eye(2), pattern_tol=t),
                  id="diagonal_similarity_witness"),
 ])
-@pytest.mark.parametrize("pattern_tol", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("pattern_tol", [-1.0, np.nan, np.inf, True])
 def test_bad_pattern_tolerance_rejected(call, pattern_tol):
     with pytest.raises(ValueError, match="tolerance"):
         call(pattern_tol)
@@ -349,8 +319,6 @@ class TestStructureAtFullRange:
             label[np.array(block) - 1] = tag
         same = label[:, None] == label[None, :]
         assert np.array_equal(atomic_part(matrix, pattern_tol), np.where(same, matrix, 0.0))
-        crossing = (np.abs(matrix) > tol) & ~same
-        assert is_completely_reducible(matrix, pattern_tol) == (not crossing.any())
         return expected
 
     @pytest.mark.parametrize("pattern_tol", [None, 0.0, 0.5])
