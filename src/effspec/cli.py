@@ -104,15 +104,12 @@ def _text_value(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, (bool, int, float, str)):
-        return value
+    # json.dumps calls this for what it cannot encode; anything else is a defect (exit 70).
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, tuple):
-        return list(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return str(value)
+    raise TypeError(f"no JSON form for a {type(value).__name__} record value")
 
 
 @dataclass
@@ -131,7 +128,7 @@ def _render(records: Iterable[tuple[str, object]], matrix, json_lines: bool) -> 
         if matrix is not None:
             records = itertools.chain(records, [("matrix", matrix)])
         for key, value in records:
-            print(json.dumps({"key": key, "value": _json_value(value)}))
+            print(json.dumps({"key": key, "value": value}, default=_json_value))
         return
     # A matrix is the output proper, so the records become comment lines.
     prefix = "" if matrix is None else "# "
@@ -211,7 +208,7 @@ def cmd_minors(args) -> Report:
 
 
 def cmd_atoms(args) -> Report:
-    return Report([("atom", block) for block in atoms(_load(args.file)).blocks])
+    return Report([("atom", block) for block in atoms(_load(args.file))])
 
 
 def cmd_clans(args) -> Report:

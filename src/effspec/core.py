@@ -11,6 +11,7 @@ to call concurrently.
 
 import logging
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -83,9 +84,9 @@ def _number(token: str, kind):
 
 
 def _check_tol(tol: float) -> float:
-    # NaN fails every comparison and infinity accepts every mismatch, so
-    # either would turn a tolerance test into a fixed answer; True would read as 1.
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
+    # NaN fails every comparison and infinity accepts every mismatch, so either would turn
+    # a tolerance test into a fixed answer; True would read as 1, an array as many answers.
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
     return tol
 
@@ -94,9 +95,10 @@ def _mismatch(gap, scale, x=0.0, y=0.0):
     # The one closeness rule: x and y agree within tol when |x - y| <= tol * max(scale,
     # |x|, |y|), i.e. _mismatch(|x - y|, scale, x, y) <= tol, with scale the largest entry
     # magnitude under test (k-th power for a size-k minor); so c * K gets K's answers.
+    # A gap <= 0 (a value at or under a bound, even an infinite one) agrees; NaN fails.
     reference = np.maximum(scale, np.maximum(np.abs(x), np.abs(y)))
     with np.errstate(all="ignore"):
-        return np.where(gap == 0, 0.0, gap / reference)
+        return np.where(gap <= 0, 0.0, gap / reference)
 
 
 def _matrix_pair(K, K2) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +127,10 @@ def as_matrix(entries) -> np.ndarray:
 
 def as_index_set(alpha, n: int) -> IndexSet:
     """Normalize integral ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
-    given = list(alpha)
+    try:
+        given = list(alpha)
+    except TypeError:
+        raise ValueError(f"an index set must be an iterable of integers, got {alpha!r}") from None
     try:  # int() truncates 1.5 and reads a boolean mask as 0s and 1s; NaN and inf have no int
         members = tuple(sorted({int(i) for i in given}))
     except (OverflowError, ValueError):
@@ -141,6 +146,8 @@ def as_index_set(alpha, n: int) -> IndexSet:
 
 def index_sets(n: int):
     """Yield every index subset of {1, ..., n}, size-then-lex ordered."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer, got {n!r}")
     for size in range(1, n + 1):
         for chosen in _subset_slices(n, size, size):
             yield from zip(*(chosen + 1).T.tolist())

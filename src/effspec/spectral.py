@@ -156,15 +156,16 @@ def _radius_bounds(k: np.ndarray, mask: np.ndarray, steps: int) -> np.ndarray:
     return np.where(np.isfinite(bounds), bounds, 0.0)
 
 
-def _support_radii(k: np.ndarray, zeroed: np.ndarray) -> np.ndarray:
+def _support_radii(k: np.ndarray, zeroed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Radius and largest entry of each profile's support block (k is nonnegative).
     support = _complements(zeroed, len(k))
-    return _radii(k[support[:, :, None], support[:, None, :]])
+    blocks = k[support[:, :, None], support[:, None, :]]
+    return _radii(blocks), blocks.max((-2, -1), initial=0.0)
 
 
 def _compare(method: str, n: int, slices, tol: float) -> EqualityVerdict:
     # core._mismatch per subset, over slices (values_a, values_b, scale) of finite values in
     # index_sets order. A subset offends unless mismatch <= tol; the first one is the witness.
-    _check_tol(tol)
     compared, worst = 0, 0.0
     for a, b, scale in slices:
         with np.errstate(over="ignore"):  # finite values of opposite sign can still overflow
@@ -253,6 +254,7 @@ def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
     """Compare two radius tables subset by subset, at the scale of their largest value."""
     if table_a.n != table_b.n:
         raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
+    _check_tol(tol)
     a, b = table_a.array, table_b.array
     return _compare("boolean-radius-grid", table_a.n, [(a, b, np.abs([a, b]).max())], tol)
 
@@ -262,17 +264,20 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
 
     The profile zeroing the indices in ``zeroed`` has effective radius
     rho(K[support]), with support the complement of ``zeroed``. Returns the
-    minimal radius and every zeroed set within ``tol * max(max|K|, best)`` of
-    it, in lexicographic order. K must be nonnegative. Capped like the minor
-    table (default n <= 20). Every profile of a slice gets a Collatz-Wielandt
-    lower bound on its radius (shrunk by a relative slack of 1e-6) from a fixed
-    number of power steps, one masked product K @ X a step; small entries are cut
-    to 0 so the bound converges on reducible supports. Eigenvalues are computed a
-    few profiles at a time in increasing bound order, while a bound is within the
-    tolerance of the best so far or no radius so far is finite. The
-    result is that of evaluating all C(n, budget) profiles unless eigvals
-    misstates a skipped profile's radius by more than the slack. A non-finite
-    optimal radius is refused.
+    minimal radius and, in lexicographic order, every zeroed set whose radius is
+    within ``tol * max(s, s*, best)`` of it: s is the largest entry of its own
+    support block and s* the largest such entry over the profiles at the optimum,
+    so an entry outside both blocks widens no tie. K must be nonnegative. Capped
+    like the minor table (default n <= 20). Every profile of a slice gets a
+    Collatz-Wielandt lower bound on its radius (shrunk by a relative slack of 1e-6)
+    from a fixed number of power steps, one masked product K @ X a step; small
+    entries are cut to 0 so the bound converges on reducible supports. Eigenvalues
+    are computed a few profiles at a time in increasing bound order, while a bound
+    is within ``tol * max(max|K|, best)`` of the best so far, which every bound is
+    while no radius is finite; ties are decided once, after the search. The result
+    is that of evaluating all C(n, budget) profiles unless eigvals misstates a
+    skipped profile's radius by more than the slack. A non-finite optimal radius
+    is refused.
     """
     k = as_matrix(K)
     if (k < 0).any():
@@ -283,7 +288,7 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
         raise ValueError(f"budget must be an integer between 0 and {n}, got {budget!r}")
     _check_tol(tol)
     # best only falls and b + tol * max(scale, b) grows with b: no skipped profile can tie.
-    scale, best, near, evaluated = np.abs(k).max(), math.inf, [], 0
+    scale, best, near = np.abs(k).max(), math.inf, []
     for zeroed in _subset_slices(n, budget, 4 * n):  # a power step holds ~4 n-vectors a profile
         mask = np.ones((n, len(zeroed)), dtype=bool)
         mask[zeroed.T, np.arange(len(zeroed))] = False  # column p: profile p's support
@@ -291,21 +296,18 @@ def budget_minimize(K, budget: int, tol: float = 1e-9) -> tuple[float, list[Inde
         order = np.argsort(bounds)
         for start in range(0, len(order), _CHUNK):
             chunk = order[start:start + _CHUNK]
-            if best < math.inf:  # while no radius is finite, every chunk goes to eigvals
-                chunk = chunk[_mismatch(bounds[chunk] - best, scale, best) <= tol]
+            chunk = chunk[_mismatch(bounds[chunk] - best, scale, best) <= tol]
             if not len(chunk):  # the bounds rise along order and best only falls: none left
                 break
-            radii = _support_radii(k, zeroed[chunk])
-            evaluated += len(chunk)
+            radii, tops = _support_radii(k, zeroed[chunk])
             best = min(best, float(radii.min()))
-            with np.errstate(invalid="ignore"):  # inf - inf is no tie while best is inf
-                close = _mismatch(radii - best, scale, best) <= tol
-            near += zip(radii[close].tolist(), map(tuple, (zeroed[chunk[close]] + 1).tolist()))
-    _log.debug("budget search: eigvals on %d of %d profiles", evaluated, math.comb(n, budget))
+            near.append((radii, tops, zeroed[chunk]))
+    radii, tops, zeroed = (np.concatenate(parts) for parts in zip(*near))
+    _log.debug("budget search: eigvals on %d of %d profiles", len(radii), math.comb(n, budget))
     if not math.isfinite(best):
         raise ValueError("the optimal radius is not finite (overflow)")
-    tied = _mismatch(np.array([radius for radius, _ in near]) - best, scale, best) <= tol
-    return best, sorted(zeroed for (_, zeroed), tie in zip(near, tied) if tie)  # lex order
+    tied = _mismatch(radii - best, np.maximum(tops, tops[radii == best].max()), best) <= tol
+    return best, sorted(map(tuple, (zeroed[tied] + 1).tolist()))  # lex order
 
 
 def spectrum_mismatch(values_a, values_b) -> float:
@@ -320,8 +322,8 @@ def spectrum_mismatch(values_a, values_b) -> float:
     a = np.atleast_1d(np.asarray(values_a, dtype=complex))
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
     # A NaN distance would never be the worst one, so it would read as agreement.
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("multiset values must be finite")
+    if a.ndim != 1 or b.ndim != 1 or not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("multiset values must be finite numbers in one dimension")
     if a.shape != b.shape:
         return float("inf")
     if a.size == 0:

@@ -18,7 +18,6 @@ import numpy as np
 from .core import IndexSet, _check_tol, _matrix_pair, _mismatch, as_matrix
 
 __all__ = [
-    "Partition",
     "SimilarityWitness",
     "pattern_tolerance",
     "is_irreducible",
@@ -29,14 +28,6 @@ __all__ = [
 
 #: Relative factor for the default zero-pattern tolerance.
 PATTERN_TOL_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint index sets covering {1, ..., n}, ordered by smallest member."""
-
-    n: int
-    blocks: tuple[IndexSet, ...]
 
 
 @dataclass(frozen=True, eq=False)  # a field-wise == would need one truth value of an array
@@ -91,12 +82,12 @@ def is_irreducible(K, pattern_tol: float | None = None) -> bool:
     return bool(_closure(K, pattern_tol)[1].all())
 
 
-def atoms(K, pattern_tol: float | None = None) -> Partition:
-    """Maximal irreducible index sets: the classes of mutual reachability."""
-    k, reach = _closure(K, pattern_tol)
+def atoms(K, pattern_tol: float | None = None) -> tuple[IndexSet, ...]:
+    """Maximal irreducible index sets, the classes of mutual reachability: disjoint,
+    covering {1, ..., n}, ordered by smallest member."""
+    reach = _closure(K, pattern_tol)[1]
     leader = (reach & reach.T).argmax(axis=1)  # smallest member of each index's atom
-    blocks = (tuple((np.flatnonzero(leader == i) + 1).tolist()) for i in np.unique(leader))
-    return Partition(n=k.shape[0], blocks=tuple(blocks))
+    return tuple(tuple((np.flatnonzero(leader == i) + 1).tolist()) for i in np.unique(leader))
 
 
 def atomic_part(K, pattern_tol: float | None = None) -> np.ndarray:

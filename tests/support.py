@@ -165,19 +165,23 @@ def subset_slices_by_combinations(n, size, cells, slice_bytes):
 
 
 def budget_search_by_profile(K, budget, tol=1e-9):
-    """(best radius, lexicographic ties within tol * max(max|K|, best)) over
-    every zeroed set of one size, with one spectral radius per profile on the
-    complement support."""
+    """(best radius, lexicographic ties) over every zeroed set of one size, with one
+    spectral radius per profile on the complement support. A profile ties when its
+    radius is within tol * max(top, top*, best) of the best: top is the largest
+    |entry| of its support block, top* the largest top over the profiles whose
+    radius is the best."""
     k = np.asarray(K, dtype=float)
     n = k.shape[0]
     results = []
     for zeroed in subsets_by_combinations(n, [budget]):
-        support = complement(zeroed, n) if zeroed else tuple(range(1, n + 1))
-        radius = spectral_radius(submatrix(k, support, support)) if support else 0.0
-        results.append((zeroed, radius))
-    best = min(radius for _, radius in results)
-    return best, [zeroed for zeroed, radius in results
-                  if radius - best <= tol * max(np.abs(k).max(), abs(best))]
+        support = complement(zeroed, n)
+        block = submatrix(k, support, support)
+        radius = spectral_radius(block) if support else 0.0
+        results.append((zeroed, radius, float(np.abs(block).max(initial=0.0))))
+    best = min(radius for _, radius, _ in results)
+    top_at_best = max(top for _, radius, top in results if radius == best)
+    return best, [zeroed for zeroed, radius, top in results
+                  if radius - best <= tol * max(top, top_at_best, abs(best))]
 
 
 def rank_le_one_by_minors(block, tol=1e-9):

@@ -74,7 +74,8 @@ class TestRankOneFactor:
 
 
 class TestFindClans:
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_bad_tolerance_rejected(self, tol):
         # Unchecked, NaN passes every rank test and makes every subset a clan;
         # matrices of size up to 3 have no subset to test, but still refuse.
@@ -136,7 +137,8 @@ class TestFindClans:
         with pytest.raises(EnumerationCapError):
             is_clan_free(np.eye(5))
 
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_clan_at_checks_the_tolerance_before_the_size(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             clan_at(np.eye(5), (1,), tol=tol)
@@ -170,7 +172,8 @@ class TestFindClans:
 
 
 class TestPartialTranspose:
-    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_bad_tolerance_rejected(self, tol):
         # NaN and infinity would accept any factors as a reproduction of K.
         matrix = np.eye(4)

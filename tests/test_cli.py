@@ -435,6 +435,16 @@ class TestMinimizeCommand:
         assert "optimal-radius: 0\n" in out
         assert "optimal-set: {1,2}\n" in out
 
+    def test_tie_margin_is_local_to_the_blocks(self, tmp_path, capsys):
+        # Zeroing {1,2} keeps radius 2, far from the optimum 1 at the scale of both
+        # kept blocks, though within 1e-9 of the entry 1e12 that neither keeps.
+        path = write(tmp_path, "diag.txt", np.diag([1e12, 1.0, 2.0]))
+        assert main(["minimize", path, "--budget", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal-radius: 1\n" in out
+        assert "optimal-set: {1,3}\n" in out
+        assert out.count("optimal-set:") == 1
+
 
 class TestJsonLines:
     def test_records_parse_and_are_stable(self, swap_file, capsys):
@@ -662,6 +672,12 @@ class TestUsageAndEnvironment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal error: RuntimeError: boom" in captured.err
+
+    def test_record_without_a_json_form_exits_70(self, swap_file, monkeypatch, capsys):
+        # A value json cannot encode is a defect, not a string to print.
+        monkeypatch.setattr(cli, "cmd_atoms", lambda args: cli.Report([("atom", {1, 2})]))
+        assert main(["atoms", swap_file, "--json-lines"]) == 70
+        assert "internal error: TypeError" in capsys.readouterr().err
 
     # Matrix entries and the dimension line are covered in TestMatrixFileFormat.
     @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "non-ascii"])

@@ -102,6 +102,12 @@ class TestSubmatrix:
         with pytest.raises(ValueError, match="^index set members must be integers"):
             all_principal_minors(np.diag([2.0, 3.0, 5.0]))[[True, True, True]]
 
+    def test_non_iterable_rejected(self):
+        with pytest.raises(ValueError, match="iterable"):
+            as_index_set(2, 3)
+        with pytest.raises(ValueError, match="iterable"):
+            all_principal_minors(np.eye(3))[2]
+
     def test_out_of_range_and_empty(self):
         with pytest.raises(ValueError, match="out of range"):
             submatrix(SWAP, [1, 3], [1])
@@ -367,6 +373,12 @@ class TestSubsetOrder:
         expected = [alpha for size in range(1, n + 1)
                     for alpha in itertools.combinations(range(1, n + 1), size)]
         assert list(index_sets(n)) == expected
+
+    @pytest.mark.parametrize("n", [True, np.True_, 2.0, "2"], ids=repr)
+    def test_index_sets_refuses_a_non_integer_n(self, n):
+        # True would read as n = 1.
+        with pytest.raises(ValueError, match="n must be an integer"):
+            list(index_sets(n))
 
     def test_subset_at_every_position(self):
         for n in range(1, 11):

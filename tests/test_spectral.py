@@ -213,7 +213,8 @@ class TestMinorsEqual:
         with pytest.raises(ValueError, match="mismatch"):
             minors_equal(np.eye(2), np.eye(3))
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_bad_tolerance_rejected(self, tol, zero_diag_pair):
         swap, rotation = zero_diag_pair
         with pytest.raises(ValueError, match="tolerance"):
@@ -428,10 +429,16 @@ class TestBudgetMinimize:
         monkeypatch.setenv("EFFSPEC_MAX_N", "21")
         assert budget_minimize(np.eye(21), 21) == (0.0, [tuple(range(1, 22))])
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
             budget_minimize(TWO_SWAPS, 1, tol=tol)
+
+    def test_tie_margin_is_local_to_the_blocks(self):
+        # The entry 1e12 lies in neither kept block, so it cannot stretch the margin
+        # around the optimum 1 to take in the radius 2 of zeroing {1,2}.
+        assert budget_minimize(np.diag([1e12, 1.0, 2.0]), 2) == (1.0, [(1, 3)])
 
     def test_overflowing_radius_is_refused(self):
         # eigvals reports inf for the radius, 2e308, of this finite matrix.
@@ -614,7 +621,7 @@ class TestMultisetMatching:
         assert not multisets_match([1.0], [1.0 + 5e-7], tol=1e-8)
 
     @pytest.mark.parametrize("a, b", [([np.nan], [1.0]), ([1.0, np.nan], [1.0, 5.0]),
-                                      ([1.0], [np.inf])])
+                                      ([1.0], [np.inf]), ([[1, 2], [3, 4]], [[1, 2], [3, 4]])])
     def test_non_finite_values_are_refused(self, a, b):
         # Python's max(worst, nan) keeps worst, so a NaN used to read as agreement.
         for function in (spectrum_mismatch, multisets_match):

@@ -30,10 +30,10 @@ class TestAdjacency:
         # The edge 1 -> 2 is round-off at the default tolerance and closes a cycle at 0.
         matrix = np.array([[1.0, 1e-15], [1.0, 1.0]])
         assert not is_irreducible(matrix)
-        assert atoms(matrix).blocks == ((1,), (2,))
+        assert atoms(matrix) == ((1,), (2,))
         assert np.array_equal(atomic_part(matrix), np.eye(2))
         assert is_irreducible(matrix, pattern_tol=0.0)
-        assert atoms(matrix, pattern_tol=0.0).blocks == ((1, 2),)
+        assert atoms(matrix, pattern_tol=0.0) == ((1, 2),)
         assert np.array_equal(atomic_part(matrix, pattern_tol=0.0), matrix)
         assert pattern_tolerance(matrix) == pytest.approx(1e-12)
 
@@ -62,16 +62,16 @@ class TestAtoms:
     def test_irreducible_single_block(self):
         rng = np.random.default_rng(42)
         matrix = random_positive(rng, 4)
-        assert atoms(matrix).blocks == ((1, 2, 3, 4),)
+        assert atoms(matrix) == ((1, 2, 3, 4),)
 
     def test_triangular_splits_into_singletons(self):
-        assert atoms([[0, 1], [0, 0]]).blocks == ((1,), (2,))
+        assert atoms([[0, 1], [0, 0]]) == ((1,), (2,))
 
     def test_two_irreducible_diagonal_blocks(self):
         matrix = np.zeros((4, 4))
         matrix[:2, :2] = [[0, 1], [1, 0]]
         matrix[2:, 2:] = [[0.5, 2], [3, 0.1]]
-        assert atoms(matrix).blocks == ((1, 2), (3, 4))
+        assert atoms(matrix) == ((1, 2), (3, 4))
 
     def test_matches_maximality_oracle(self):
         rng = np.random.default_rng(43)
@@ -79,12 +79,12 @@ class TestAtoms:
             n = int(rng.integers(1, 7))
             matrix = random_nonnegative(rng, n, density=0.45)
             expected = maximal_irreducible_sets(matrix)
-            assert list(atoms(matrix, pattern_tol=0.0).blocks) == expected
+            assert list(atoms(matrix, pattern_tol=0.0)) == expected
 
     def test_blocks_partition_indices(self):
         rng = np.random.default_rng(44)
         matrix = random_nonnegative(rng, 6, density=0.3)
-        blocks = atoms(matrix).blocks
+        blocks = atoms(matrix)
         flat = sorted(i for block in blocks for i in block)
         assert flat == list(range(1, 7))
 
@@ -216,7 +216,8 @@ class TestDiagonalSimilarityWitness:
         assert diagonal_similarity_witness(matrix, other, pattern_tol=0.0) is not None
         assert diagonal_similarity_witness(matrix, other) is None
 
-    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True])
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, True, "1e-9",
+                                     pytest.param(np.array([1e-9]), id="array")])
     def test_bad_tolerance_rejected(self, tol):
         # Not similar: the cycle products 1 and 5 differ.
         assert diagonal_similarity_witness([[1, 1], [1, 1]], [[1, 5], [1, 1]]) is None
@@ -252,7 +253,8 @@ class TestDiagonalSimilarityWitness:
     pytest.param(lambda t: diagonal_similarity_witness(np.eye(2), np.eye(2), pattern_tol=t),
                  id="diagonal_similarity_witness"),
 ])
-@pytest.mark.parametrize("pattern_tol", [-1.0, np.nan, np.inf, True])
+@pytest.mark.parametrize("pattern_tol", [-1.0, np.nan, np.inf, True, "1e-9",
+                                         pytest.param(np.array([1e-9]), id="array")])
 def test_bad_pattern_tolerance_rejected(call, pattern_tol):
     with pytest.raises(ValueError, match="tolerance"):
         call(pattern_tol)
@@ -311,7 +313,7 @@ class TestStructureAtFullRange:
         n = len(matrix)
         tol = pattern_tolerance(matrix, pattern_tol)
         expected = atoms_by_reachability(matrix, tol)
-        assert atoms(matrix, pattern_tol).blocks == tuple(expected)
+        assert atoms(matrix, pattern_tol) == tuple(expected)
         assert is_irreducible(matrix, pattern_tol) == irreducible_by_closure(matrix, tol) \
             == (len(expected) == 1)
         label = np.empty(n, dtype=int)
@@ -357,15 +359,15 @@ class TestStructureInvariance:
     @given(structured_matrix(), st.integers(-30, 30), st.sampled_from([None, 0.0]))
     def test_symmetries_keep_the_atoms(self, case, e, pattern_tol):
         matrix, rng = case
-        blocks = atoms(matrix, pattern_tol).blocks
+        blocks = atoms(matrix, pattern_tol)
         irreducible = is_irreducible(matrix, pattern_tol)
         p = rng.permutation(len(matrix))
         position = np.argsort(p)  # index i of K sits at position[i] of P K P^T
         relabelled = sorted((tuple(sorted(int(position[i - 1]) + 1 for i in block))
                              for block in blocks), key=lambda block: block[0])
-        assert atoms(matrix[np.ix_(p, p)], pattern_tol).blocks == tuple(relabelled)
+        assert atoms(matrix[np.ix_(p, p)], pattern_tol) == tuple(relabelled)
         assert is_irreducible(matrix[np.ix_(p, p)], pattern_tol) is irreducible
-        assert atoms(matrix.T, pattern_tol).blocks == blocks
+        assert atoms(matrix.T, pattern_tol) == blocks
         assert is_irreducible(matrix.T, pattern_tol) is irreducible
-        assert atoms(2.0 ** e * matrix, pattern_tol).blocks == blocks
+        assert atoms(2.0 ** e * matrix, pattern_tol) == blocks
         assert is_irreducible(2.0 ** e * matrix, pattern_tol) is irreducible
