@@ -27,14 +27,8 @@ import numpy as np
 
 from .clans import clan_at, find_clans, partial_transpose
 from .core import _check_tol, _number, all_principal_minors, as_index_set, as_matrix, index_sets
-from .spectral import (
-    as_eta,
-    budget_minimize,
-    effective_radius,
-    effective_spectrum,
-    same_effective_family,
-    signed_equality_check,
-)
+from .spectral import (as_eta, budget_minimize, effective_radius, effective_spectrum,
+                       same_effective_family)
 from .structure import atoms, diagonal_similarity_witness
 
 MAX_FILE_DIM = 64
@@ -182,15 +176,7 @@ def cmd_spectrum(args) -> Report:
 
 
 def cmd_compare(args) -> Report:
-    a = _load(args.file_a)
-    b = _load(args.file_b)
-    if args.signed:
-        verdict = signed_equality_check(a, b, tol=args.tol)
-    else:
-        if (a < 0).any() or (b < 0).any():
-            raise ValueError("matrix has negative entries; rerun with --signed "
-                             "to use the guarded check")
-        verdict = same_effective_family(a, b, tol=args.tol)
+    verdict = same_effective_family(_load(args.file_a), _load(args.file_b), tol=args.tol)
     if verdict.equal is None:
         outcome, exit_code = [("verdict", "inconclusive"), ("detail", verdict.detail)], 2
     elif verdict.equal:
@@ -284,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("compare", cmd_compare, "decide equality of the effective-radius functions",
                 files=("file_a", "file_b"))
     p.add_argument("--signed", action="store_true",
-                   help="use the guarded check for matrices with signed entries")
+                   help="accepted and ignored: the signs of the entries pick the check")
 
     command("minors", cmd_minors, "all principal minors", [])
     command("atoms", cmd_atoms, "maximal irreducible index sets", [])

@@ -126,7 +126,7 @@ def as_matrix(entries) -> np.ndarray:
 
 
 def as_index_set(alpha, n: int) -> IndexSet:
-    """Normalize integral ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
+    """Normalize distinct integral ``alpha`` to a sorted 1-based tuple within {1, ..., n}."""
     try:
         given = list(alpha)
     except TypeError:
@@ -137,6 +137,8 @@ def as_index_set(alpha, n: int) -> IndexSet:
         members = ()
     if set(members) != set(given) or any(isinstance(i, (bool, np.bool_)) for i in given):
         raise ValueError(f"index set members must be integers, got {set(given)}")
+    if len(members) != len(given):  # a merged repeat would answer for a smaller subset
+        raise ValueError(f"index set members must be distinct, got {given}")
     if not members:
         raise ValueError("index set must be non-empty")
     if members[0] < 1 or members[-1] > n:

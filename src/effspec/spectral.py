@@ -16,6 +16,7 @@ The budget search finds the boolean profiles with a fixed number of zeroed
 indices that minimize the effective radius.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -64,8 +65,9 @@ class EqualityVerdict:
     the guarded signed check produces None). A False verdict carries the first
     offending subset, where the comparison stops, as ``witness``; ``max_discrepancy``
     is the largest |a - b| / max(scale, |a|, |b|) over the subsets compared, against
-    the tolerance: scale is max|K|**|alpha| for minors (of the pair normalized by a
-    power of two, see :func:`minors_equal`), the largest radius for radii.
+    the tolerance: scale is max(|K[alpha]|, |K2[alpha]|)**|alpha| for minors, from the
+    subset's own two blocks (of the pair normalized by a power of two, see
+    :func:`minors_equal`), and the largest radius of either table for radii.
     """
 
     equal: bool | None
@@ -187,7 +189,10 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     of nonnegative matrices, and it implies that equality for matrices of
     any sign pattern. The joint sweep stops at the first differing minor and builds no table.
     It compares the pair multiplied by the one power of two that brings max|K| into
-    [2**-32, 2**32), so no minor leaves the float range and c * K gets K's verdict.
+    [2**-32, 2**32), so no minor leaves the float range and c * K gets K's verdict, unless a
+    block lies so far below max|K| that its minors underflow. A size-k minor gap counts
+    against max(|K[alpha]|, |K2[alpha]|)**k, its own blocks' scale, so an entry outside them
+    hides no gap; a block whose power underflows is judged relatively.
     """
     _check_tol(tol)  # before the sweep, which can take seconds
     a, b = _matrix_pair(K, K2)
@@ -195,31 +200,38 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     # One exact power of two brings max|K| into [2**-32, 2**32) and leaves a pair already
     # there untouched (det goes through a logarithm, so a rescaled minor would differ in its
     # last bits). In the band, with n <= HARD_MAX_N = 24, Hadamard's inequality bounds every
-    # minor by (sqrt(24) * 2**32)**24 < 2**824, and max|K|**k stays within 2**-768..2**768.
+    # minor by (sqrt(24) * 2**32)**24 < 2**824, and a block scale's k-th power by 2**768.
     exponent = np.frexp(np.abs([a, b]).max())[1]
     pair = np.ldexp(np.stack([a, b]), np.clip(exponent, -31, 32) - exponent)
-    # Size-k minors count against max|K|**k, by repeated multiplication so it scales with K.
-    scale = np.cumprod(np.full(len(a), np.abs(pair).max()))
-    slices = ((values_a, values_b, scale[size - 1]) for size, (values_a, values_b)
-              in _subset_sweep(pair, np.linalg.det))
-    return _compare("principal-minors", len(a), slices, tol)
+
+    def slices():
+        # A size-k minor counts against max(|K[alpha]|, |K2[alpha]|)**k, by repeated
+        # multiplication so it scales with K; the diagonal comes through with no batch call.
+        for size, values in _subset_sweep(pair, _minors_and_tops):
+            x, y, top = values if size > 1 else (*values, np.abs(values).max(0))
+            yield x, y, functools.reduce(np.multiply, [top] * size)
+    return _compare("principal-minors", len(a), slices(), tol)
+
+
+def _minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    # The minors of both stacked blocks of each subset, then their largest |entry|: the
+    # gathered blocks are this call's own copy, so abs overwrites them instead of allocating.
+    minors = np.linalg.det(blocks)
+    return (*minors, np.abs(blocks, out=blocks).max((0, -2, -1)))
 
 
 def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:
-    """Decide whether two nonnegative matrices share the same effective
-    spectrum function (equivalently the same effective radius function).
+    """Decide whether two real matrices share the same effective spectrum
+    function (equivalently the same effective radius function).
 
-    Decided by :func:`minors_equal`, which streams the principal minors and builds no
-    table, the cheapest of the equivalent characterizations. Matrices with negative
-    entries are refused; use :func:`signed_equality_check` for those.
+    A nonnegative pair is decided by :func:`minors_equal`, which streams the principal
+    minors and builds no table, the cheapest of the equivalent characterizations. A pair
+    with a negative entry goes to :func:`signed_equality_check`, whose verdict is
+    inconclusive where its guard on the diagonal signs fails.
     """
-    a = as_matrix(K)
-    b = as_matrix(K2)
-    if (a < 0).any() or (b < 0).any():
-        raise ValueError("matrix has negative entries; the minor-table verdict "
-                         "only decides equality for nonnegative matrices, "
-                         "use signed_equality_check instead")
-    return minors_equal(a, b, tol=tol)
+    a, b = _matrix_pair(K, K2)
+    check = signed_equality_check if (a < 0).any() or (b < 0).any() else minors_equal
+    return check(a, b, tol=tol)
 
 
 def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
@@ -235,12 +247,11 @@ def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     _check_tol(tol)
     a, b = _matrix_pair(K, K2)
     method = "signed-principal-minors"
-    signs_a = np.sign(a.diagonal())
-    signs_b = np.sign(b.diagonal())
-    if (signs_a != signs_b).any():
-        i = int(np.nonzero(signs_a != signs_b)[0][0]) + 1
+    signs_a, signs_b = np.sign(a.diagonal()), np.sign(b.diagonal())
+    mismatched = np.flatnonzero(signs_a != signs_b)
+    if mismatched.size:
         return EqualityVerdict(equal=None, method=method,
-                               detail=f"diagonal sign mismatch at index {i}")
+                               detail=f"diagonal sign mismatch at index {mismatched[0] + 1}")
     zeros = int((signs_a == 0).sum())
     if zeros > 1:
         return EqualityVerdict(equal=None, method=method,
@@ -251,7 +262,8 @@ def signed_equality_check(K, K2, tol: float = 1e-9) -> EqualityVerdict:
 
 def compare_boolean_tables(table_a: SubsetTable, table_b: SubsetTable,
                            tol: float = EIGENVALUE_TOL) -> EqualityVerdict:
-    """Compare two radius tables subset by subset, at the scale of their largest value."""
+    """Compare two radius tables subset by subset, at the scale of their largest value:
+    tables hold no blocks, so unlike :func:`minors_equal`'s this scale stays global."""
     if table_a.n != table_b.n:
         raise ValueError(f"dimension mismatch: {table_a.n} vs {table_b.n}")
     _check_tol(tol)

@@ -127,17 +127,18 @@ def minor_comparison_by_tables(K, K2, tol=1e-9):
     """(equal, witness, max_discrepancy) from the two whole minor_table_by_lu
     tables of K and K2, finite ones.
 
-    A size-k subset offends when |x - y| > tol * max(scale, |x|, |y|), with
-    scale the k-th power of the largest entry magnitude of either matrix (by
-    repeated multiplication, clamped to the largest float). The witness is the
-    first offending subset in index_sets order, and max_discrepancy the largest
-    |x - y| / max(scale, |x|, |y|) up to it, or over every subset if none offends.
+    A size-k subset alpha offends when |x - y| > tol * max(scale, |x|, |y|), with
+    scale the k-th power of the largest entry magnitude of the two blocks K[alpha]
+    and K2[alpha] (by repeated multiplication, clamped to the largest float). The
+    witness is the first offending subset in index_sets order, and max_discrepancy
+    the largest |x - y| / max(scale, |x|, |y|) up to it, or over every subset if
+    none offends.
     """
-    top = float(max(np.abs(K).max(), np.abs(K2).max()))
     worst = 0.0
     rows = zip(subsets_by_combinations(len(K)), minor_table_by_lu(K).tolist(),
                minor_table_by_lu(K2).tolist())
     for alpha, x, y in rows:
+        top = max(float(np.abs(submatrix(m, alpha, alpha)).max()) for m in (K, K2))
         scale = min(math.prod([top] * len(alpha)), sys.float_info.max)
         gap = abs(x - y)
         discrepancy = gap / max(scale, abs(x), abs(y)) if gap else 0.0

@@ -192,11 +192,44 @@ class TestCompare:
         assert "verdict: not-equal" in out
         assert "witness: {1,2}" in out
 
-    def test_unsigned_on_signed_input_points_at_flag(self, swap_file,
-                                                     rotation_file, capsys):
-        code = main(["compare", swap_file, rotation_file])
-        assert code == 64
-        assert "--signed" in capsys.readouterr().err
+    def test_signed_input_needs_no_flag(self, swap_file, rotation_file, capsys):
+        # A negative entry picks the guarded check; here its guard fails (two zero diagonals).
+        assert main(["compare", swap_file, rotation_file]) == 2
+        captured = capsys.readouterr()
+        assert "method: signed-principal-minors\nverdict: inconclusive\n" in captured.out
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("json_lines", [[], ["--json-lines"]], ids=["text", "json-lines"])
+    @pytest.mark.parametrize("pair, code", [
+        ("swap-rotation", 2), ("unit-diagonal", 1), ("swap-swap", 0),
+        ("positive-transpose", 0), ("overflowing", 1), ("zero-one-diagonal", 1),
+    ])
+    def test_signed_flag_changes_nothing(self, tmp_path, capsys, zero_diag_pair,
+                                         unit_diag_pair, json_lines, pair, code):
+        # A nonnegative pair gets the minors' answer even where the sign guard would fail:
+        # two zero diagonal entries (swap-swap), or diagonals (0, 1) against (1, 1).
+        positive = random_positive(np.random.default_rng(84), 4)
+        a, b = {"swap-rotation": zero_diag_pair, "unit-diagonal": unit_diag_pair,
+                "swap-swap": (zero_diag_pair[0],) * 2,
+                "positive-transpose": (positive, positive.T), "overflowing": OVERFLOWING,
+                "zero-one-diagonal": (np.diag([0.0, 1.0]), np.eye(2))}[pair]
+        files = [write(tmp_path, "a.txt", a), write(tmp_path, "b.txt", b)]
+        outputs = []
+        for flag in ([], ["--signed"]):
+            outputs.append((main(["compare", *files, *json_lines, *flag]), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == code and outputs[0][1].err == ""
+
+    def test_gap_is_measured_against_its_own_block(self, tmp_path, capsys):
+        # The minors on {2,3} are 0 and -1: against max|K|**2 = 1e16 they read as equal.
+        a = np.array([[1e8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        b = a.copy()
+        b[1, 2] = 2.0
+        files = [write(tmp_path, "a.txt", a), write(tmp_path, "b.txt", b)]
+        assert main(["compare", *files]) == 1
+        captured = capsys.readouterr()
+        assert "verdict: not-equal\nwitness: {2,3}\nmax_discrepancy: 0.25\n" in captured.out
+        assert captured.err == ""
 
     def test_dimension_mismatch_is_usage_error(self, tmp_path, swap_file):
         other = write(tmp_path, "id3.txt", np.eye(3))

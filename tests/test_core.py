@@ -102,6 +102,16 @@ class TestSubmatrix:
         with pytest.raises(ValueError, match="^index set members must be integers"):
             all_principal_minors(np.diag([2.0, 3.0, 5.0]))[[True, True, True]]
 
+    def test_repeated_members_rejected(self):
+        # A merged repeat would answer for a smaller subset: (1, 1) is not the subset {1}.
+        for members in ([2, 2, 1], [1, 1], [1.0, 1], [np.int64(3), 3]):
+            with pytest.raises(ValueError, match="^index set members must be distinct"):
+                as_index_set(members, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            all_principal_minors(np.diag([2.0, 3.0, 5.0]))[(1, 1)]
+        with pytest.raises(ValueError, match="distinct"):
+            submatrix(np.eye(3), [1, 2], [3, 3])
+
     def test_non_iterable_rejected(self):
         with pytest.raises(ValueError, match="iterable"):
             as_index_set(2, 3)

@@ -340,10 +340,29 @@ class TestSameEffectiveFamily:
         assert not verdict.equal
         assert verdict.witness == (1, 2)
 
-    def test_negative_entries_refused(self, zero_diag_pair):
+    def test_negative_entries_take_the_guarded_check(self, zero_diag_pair, unit_diag_pair):
+        # The rotation has two zero diagonal entries, so the guard fails even against itself.
         _, rotation = zero_diag_pair
-        with pytest.raises(ValueError, match="signed_equality_check"):
-            same_effective_family(rotation, rotation)
+        verdict = same_effective_family(rotation, rotation)
+        assert verdict == signed_equality_check(rotation, rotation)
+        assert (verdict.equal, verdict.method) == (None, "signed-principal-minors")
+        assert verdict.detail == "diagonal has 2 zero entries (at most one allowed)"
+        verdict = same_effective_family(*unit_diag_pair)
+        assert (verdict.equal, verdict.method, verdict.witness) == \
+            (False, "signed-principal-minors", (1, 2))
+
+    def test_gap_is_measured_against_its_own_block(self):
+        # The minors on {2,3} are 0 and -1; against max|K|**2 = 1e16 the gap read as
+        # rounding, and the pair as equal. The effective radii at (0, 1, 1) are 2 and 2.414.
+        a = np.array([[1e8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        b = a.copy()
+        b[1, 2] = 2.0
+        for verdict in (same_effective_family(a, b), minors_equal(a, b)):
+            assert (verdict.equal, verdict.witness, verdict.max_discrepancy) == \
+                (False, (2, 3), 0.25)
+        assert same_effective_family(2.0 ** 600 * a, 2.0 ** 600 * b) == \
+            same_effective_family(a, b)
+        assert same_effective_family(a, a.T).equal is True
 
 
 class TestSignedEqualityCheck:
@@ -799,6 +818,19 @@ def range_answers(a, b):
         answers["family"] = (family.equal, family.witness)
         answers["kind"] = classify_minor_equal_pair(a, b).kind if family.equal else None
     return answers
+
+
+class TestSameEffectiveFamilyDispatch:
+    """same_effective_family answers every real pair: the guarded signed check when an
+    entry of either matrix is negative, the plain minor comparison otherwise."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(family_pair(), signed_pair(), pair_across_the_range())
+           .map(lambda case: case[:2]))
+    def test_signs_pick_the_check(self, pair):
+        a, b = pair
+        check = signed_equality_check if (a < 0).any() or (b < 0).any() else minors_equal
+        assert same_effective_family(a, b) == check(a, b)
 
 
 class TestFloatRangeInvariance:
