@@ -195,13 +195,17 @@ class SubsetTable:
         self.array.flags.writeable = False
 
     def __getitem__(self, alpha) -> float:
-        # Smaller sizes first, then the lex rank C(n, k) - 1 - sum C(n - a_i, k + 1 - i).
-        a = as_index_set(alpha, self.n)
-        return float(self.array[sum(math.comb(self.n, j) for j in range(1, len(a) + 1)) - 1
-                                - sum(math.comb(self.n - i, len(a) - r) for r, i in enumerate(a))])
+        return float(self.array[_subset_rank(self.n, as_index_set(alpha, self.n))])
 
     def __len__(self) -> int:
         return len(self.array)
+
+
+def _subset_rank(n: int, alpha: IndexSet) -> int:
+    # The inverse of _subset_at: smaller sizes first, then the lex rank
+    # C(n, k) - 1 - sum C(n - a_i, k + 1 - i) of the sorted 1-based alpha.
+    return (sum(math.comb(n, j) for j in range(1, len(alpha) + 1)) - 1
+            - sum(math.comb(n - i, len(alpha) - r) for r, i in enumerate(alpha)))
 
 
 def _subset_at(n: int, position: int) -> IndexSet:

@@ -17,8 +17,10 @@ indices that minimize the effective radius.
 """
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .core import (
     _matrix_pair,
     _mismatch,
     _subset_at,
+    _subset_rank,
     _subset_slices,
     _subset_sweep,
     as_matrix,
@@ -187,30 +190,85 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
 
     This is the complete finite invariant for equality of effective spectra
     of nonnegative matrices, and it implies that equality for matrices of
-    any sign pattern. The joint sweep stops at the first differing minor and builds no table.
-    It compares the pair multiplied by the one power of two that brings max|K| into
-    [2**-32, 2**32), so no minor leaves the float range and c * K gets K's verdict, unless a
-    block lies so far below max|K| that its minors underflow. A size-k minor gap counts
-    against max(|K[alpha]|, |K2[alpha]|)**k, its own blocks' scale, so an entry outside them
-    hides no gap; a block whose power underflows is judged relatively.
+    any sign pattern. Subsets are compared in size-then-lex order and the first offending
+    one is the witness; no table of LU minors is built. A size-k minor gap counts against
+    max(|K[alpha]|, |K2[alpha]|)**k, its own blocks' scale, so an entry outside them hides
+    no gap.
+
+    Sizes 1 and 2 come from batched LU ``det`` calls. Only if they all agree, ``tol`` is
+    positive and its tables fit _SCHUR_BYTES (n <= 20) are the larger minors read from the
+    Schur engine, :func:`effspec.schur._schur_table`, which yields every minor in O(2**n)
+    with an error bound per subset; otherwise LU goes on. A Schur value decides a subset
+    only where its mismatch clears ``tol`` by more than the bound. Every other subset is
+    recomputed by LU, and the LU values stand for it, so verdicts and witnesses are those
+    of LU, while ``max_discrepancy`` comes from the Schur values where they decide. One
+    DEBUG record on the ``effspec`` logger gives the subsets compared, the pseudo-pivots
+    taken and the subsets rechecked by LU.
+
+    The pair is multiplied by the one exact power of two that brings max|K| into
+    [2**-32, 2**32); a pair already there is untouched, as det goes through a logarithm
+    and a rescaled minor would differ in its last bits. A block whose size-k minors could
+    leave the float range is compared on its own copy, scaled by the power of two that
+    brings its largest entry into [1, 2). So c * K gets K's verdict and witness for every
+    power of two c, up to the rounding of the determinants of blocks inside the range.
     """
     _check_tol(tol)  # before the sweep, which can take seconds
     a, b = _matrix_pair(K, K2)
-    _enumeration_cap(len(a))
-    # One exact power of two brings max|K| into [2**-32, 2**32) and leaves a pair already
-    # there untouched (det goes through a logarithm, so a rescaled minor would differ in its
-    # last bits). In the band, with n <= HARD_MAX_N = 24, Hadamard's inequality bounds every
-    # minor by (sqrt(24) * 2**32)**24 < 2**824, and a block scale's k-th power by 2**768.
-    exponent = np.frexp(np.abs([a, b]).max())[1]
-    pair = np.ldexp(np.stack([a, b]), np.clip(exponent, -31, 32) - exponent)
+    n = len(a)
+    _enumeration_cap(n)
+    # In the band, with n <= HARD_MAX_N = 24, Hadamard's inequality bounds every minor by
+    # (sqrt(24) * 2**32)**24 < 2**824, and a block scale's k-th power by 2**768.
+    exponents = np.frexp([a, b])[1]  # 0 for a zero entry
+    largest = exponents.max()
+    shift = min(max(largest, -31), 32) - largest
+    pair = np.ldexp(np.stack([a, b]), shift)
+    # Then only a block of entries below 2**-40 can have minors below the float range.
+    batch = _rescaled_minors_and_tops if exponents.min() + shift < -39 else _minors_and_tops
+    # At tol 0 no Schur value can settle an agreeing subset, so LU runs throughout.
+    engine = tol > 0 and 2 < n and _SCHUR_SUBSET_BYTES << n <= _SCHUR_BYTES
+    pseudo = rechecked = 0
 
-    def slices():
-        # A size-k minor counts against max(|K[alpha]|, |K2[alpha]|)**k, by repeated
-        # multiplication so it scales with K; the diagonal comes through with no batch call.
-        for size, values in _subset_sweep(pair, _minors_and_tops):
+    def lu_slices():
+        # The LU stream, up to size 2 when the Schur engine takes over. A size-k minor counts
+        # against max(|K[alpha]|, |K2[alpha]|)**k, by repeated multiplication so it scales
+        # with K; the diagonal comes through with no batch call.
+        streamed = 0
+        for size, values in _subset_sweep(pair, batch):
             x, y, top = values if size > 1 else (*values, np.abs(values).max(0))
             yield x, y, functools.reduce(np.multiply, [top] * size)
-    return _compare("principal-minors", len(a), slices(), tol)
+            streamed += len(top)
+            if engine and streamed == n * (n + 1) // 2:
+                return
+
+    def schur_slices():
+        # The Schur values of sizes 3 to n in index_sets order, the doubtful ones by LU.
+        nonlocal rechecked
+        for size in range(3, n + 1):
+            for chosen in _subset_slices(n, size, 2 * size * size):
+                (x, y), scale, reference, bound, _ = table.at((1 << chosen).sum(1))
+                with np.errstate(invalid="ignore"):  # a NaN margin is doubtful
+                    margin = np.abs(x - y) - tol * reference
+                doubt = np.flatnonzero(~(np.abs(margin) > bound * (1 + tol)))
+                if doubt.size:
+                    x[doubt], y[doubt], scale[doubt] = _lu_minors(pair, chosen[doubt])
+                    rechecked += doubt.size
+                yield x, y, scale
+
+    verdict = _compare("principal-minors", n, lu_slices(), tol)
+    if engine and verdict.equal:
+        from .schur import _schur_table  # a process that never gets here never loads it
+        table = _schur_table(pair)
+        pseudo, screened = table.pseudo_pivots, _screen(table, pair, tol)
+        if screened:
+            worst, rechecked = screened
+            verdict = replace(verdict, max_discrepancy=max(verdict.max_discrepancy, worst))
+        else:  # a subset of size 3 or more offends: the ordered sweep finds the first
+            verdict = _compare("principal-minors", n, chain(lu_slices(), schur_slices()), tol)
+    if _log.isEnabledFor(logging.DEBUG):
+        compared = 2 ** n - 1 if verdict.equal else _subset_rank(n, verdict.witness) + 1
+        _log.debug("minor comparison: %d subsets compared, %d pseudo-pivots, %d rechecked by LU",
+                   compared, pseudo, rechecked)
+    return verdict
 
 
 def _minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -218,6 +276,61 @@ def _minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     # gathered blocks are this call's own copy, so abs overwrites them instead of allocating.
     minors = np.linalg.det(blocks)
     return (*minors, np.abs(blocks, out=blocks).max((0, -2, -1)))
+
+
+def _rescaled_minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    # As _minors_and_tops, but a block whose size-k minors could leave the float range
+    # (top**k below 2**-960) is first scaled by the power of two that brings its top into
+    # [1, 2): its minors and top come back in those units.
+    size = blocks.shape[-1]
+    exponent = np.frexp(np.maximum(blocks.max((0, -2, -1)), -blocks.min((0, -2, -1))))[1]
+    far = np.flatnonzero(size * exponent < -960)
+    blocks[:, far] = np.ldexp(blocks[:, far], 1 - exponent[far, None, None])
+    return _minors_and_tops(blocks)
+
+
+def _lu_minors(pair: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, ...]:
+    # (x, y, scale) of the subsets that are the rows of ``chosen``, of one size, by LU.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y, top = _rescaled_minors_and_tops(pair[:, chosen[:, :, None], chosen[:, None, :]])
+    return x, y, functools.reduce(np.multiply, [top] * chosen.shape[1])
+
+
+def _screen(table, pair: np.ndarray, tol: float):
+    # (worst mismatch, subsets rechecked by LU) over every subset of size 3 or more, in
+    # bitmask order, or None as soon as one offends; the order matters only then.
+    n, worst, doubts = pair.shape[-1], 0.0, []
+    for start in range(0, 1 << n, _SCREEN_BLOCK):
+        (x, y), _, reference, bound, sizes = table.at(slice(start, start + _SCREEN_BLOCK))
+        with np.errstate(invalid="ignore"):  # a NaN margin is doubtful
+            gap = np.abs(x - y)
+            margin, slack = gap - tol * reference, bound * (1 + tol)
+        large = sizes > 2
+        if (margin[large] > slack[large]).any():
+            return None
+        doubt = large & ~(margin < -slack)
+        worst = max(worst, float(_mismatch(gap, reference)[large & ~doubt].max(initial=0.0)))
+        doubts.append(start + np.flatnonzero(doubt))
+    masks = np.concatenate(doubts)
+    for size in range(3, n + 1):
+        of_size = masks[table.sizes[masks] == size]
+        per = max(1, (_SCREEN_BLOCK << 4) // (size * size))  # 1 MiB of blocks
+        for start in range(0, len(of_size), per):
+            bits = (of_size[start:start + per, None] >> np.arange(n)) & 1
+            x, y, scale = _lu_minors(pair, np.nonzero(bits)[1].reshape(-1, size))
+            mismatch = _mismatch(np.abs(x - y), scale, x, y)
+            if not (mismatch <= tol).all():
+                return None
+            worst = max(worst, float(mismatch.max()))
+    return worst, len(masks)
+
+
+# Bytes a subset costs the Schur engine: its minors, weight, block maximum and size tables
+# (33 at d = 2), rounded up. Past _SCHUR_BYTES, minors_equal stays on LU, so the engine
+# serves n <= 20. A part of its recursion and a block of the screen add under 1 MiB.
+_SCHUR_SUBSET_BYTES, _SCHUR_BYTES = 40, 48 << 20
+# Positions of one block of the screen.
+_SCREEN_BLOCK = 1 << 12
 
 
 def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:

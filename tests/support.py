@@ -85,6 +85,15 @@ def random_clan_instance(rng, n, m=None, low=-1.0, high=1.0):
     return matrix, tuple(range(1, m + 1)), v, b, c, w
 
 
+def large_corner(seed, n=9):
+    """A uniform(0.1, 1.1) matrix whose (1, n) entry is 1e8. Pivoting on index 1 first,
+    a Schur recursion meets a pivot far below its row; its corrected minors of the subsets
+    holding 1 but not n carry errors near 1e-8 of their blocks' scale."""
+    matrix = np.random.default_rng(seed).uniform(0.1, 1.1, (n, n))
+    matrix[0, n - 1] = 1e8
+    return matrix
+
+
 def subsets_by_combinations(n, sizes=None):
     """The subsets of {1, ..., n} of each size in ``sizes`` (default 1, ..., n), in
     size-then-lex order, from itertools.combinations."""

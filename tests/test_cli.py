@@ -12,7 +12,7 @@ import pytest
 import effspec
 from effspec import cli, effective_radius
 from effspec.cli import format_matrix, main, parse_matrix
-from support import minor_table_by_lu, random_clan_instance, random_positive
+from support import large_corner, minor_table_by_lu, random_clan_instance, random_positive
 
 
 def write(tmp_path, name, matrix):
@@ -174,6 +174,16 @@ class TestCompare:
         a = write(tmp_path, "a.txt", matrix)
         b = write(tmp_path, "b.txt", matrix.T)
         assert main(["compare", a, b]) == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_corner_entry_reads_equal(self, tmp_path, capsys, seed):
+        # Against its transpose and a diagonal similarity; see TestMinorsEqual.
+        matrix = large_corner(seed)
+        d = np.random.default_rng(seed).uniform(0.5, 2.0, len(matrix))
+        a = write(tmp_path, "a.txt", matrix)
+        for name, other in (("t.txt", matrix.T), ("d.txt", d[:, None] * matrix / d)):
+            assert main(["compare", a, write(tmp_path, name, other)]) == 0
+            assert "verdict: equal\n" in capsys.readouterr().out
 
     def test_signed_zero_diag_pair_inconclusive(self, swap_file, rotation_file,
                                                 capsys):

@@ -35,6 +35,7 @@ from effspec import core, spectral
 from support import (
     bottleneck_by_permutation,
     budget_search_by_profile,
+    large_corner,
     random_nonnegative,
     sparse_irreducible,
     submatrix,
@@ -276,6 +277,31 @@ class TestMinorsEqual:
         assert (verdict.equal, verdict.witness) == (False, (1, 2))
         assert sizes and max(sizes) == 2
 
+    def test_block_far_below_the_largest_entry_keeps_its_answer_under_rescaling(self):
+        # The minors on {2,3}, 0 and -t**2 = -1e-310, are subnormal: moved 2**32 lower,
+        # as a pair normalized into [2**-32, 2**32) would move them, they underflow and
+        # read equal. Compared on its own copy scaled into [1, 2), the block gets one
+        # answer at every c.
+        t = 1e-155
+        a = np.array([[1.0, 0.0, 0.0], [0.0, t, t], [0.0, t, t]])
+        b = a.copy()
+        b[1, 2] = 2 * t
+        verdicts = [minors_equal(c * a, c * b) for c in (1.0, 2.0 ** -100, 2.0 ** 100,
+                                                         2.0 ** 1000, 2.0 ** -30)]
+        assert {(v.equal, v.witness, v.max_discrepancy) for v in verdicts} == \
+            {(False, (2, 3), verdicts[0].max_discrepancy)}
+        assert verdicts[0].max_discrepancy == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_large_corner_entry_reads_equal(self, seed):
+        # Unscreened, the Schur minors of these pairs mismatch by up to about 4e-8 of their
+        # blocks' scale; those subsets go to LU, which reads them as equal.
+        matrix = large_corner(seed)
+        d = np.random.default_rng(seed).uniform(0.5, 2.0, len(matrix))
+        for other in (matrix.T, d[:, None] * matrix / d):
+            verdict = minors_equal(matrix, other)
+            assert verdict.equal and verdict.max_discrepancy < 1e-14
+
     def test_equal_pair_holds_slices_not_tables(self):
         # Two tables of the 65535 minors at n = 16 and a scale per subset take 1.5 MiB
         # alone; a slice of stacked blocks stays within core._SLICE_BYTES, 1 MiB.
@@ -508,6 +534,37 @@ class TestBudgetInvariance:
         scaled_best, scaled_ties = budget_minimize(2.0 ** e * matrix, budget)
         assert scaled_ties == [zeroed]
         assert scaled_best == pytest.approx(best * 2.0 ** e, rel=1e-12)
+
+
+class TestMinorComparisonLog:
+    def counts(self, caplog, a, b):
+        # (subsets compared, pseudo-pivots, subsets rechecked by LU) of one comparison.
+        caplog.set_level(logging.DEBUG, logger="effspec")
+        minors_equal(a, b)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("minor comparison")]
+        return record.args
+
+    def test_equal_positive_pair_needs_no_lu_recheck(self, caplog):
+        matrix = np.random.default_rng(8).uniform(0.1, 1.1, (8, 8))
+        compared, _, rechecked = self.counts(caplog, matrix, matrix.T)
+        assert (compared, rechecked) == (255, 0)
+
+    def test_large_corner_entry_is_rechecked_by_lu(self, caplog):
+        matrix = large_corner(0)
+        compared, _, rechecked = self.counts(caplog, matrix, matrix.T)
+        assert compared == 511 and rechecked > 0
+
+    def test_zero_diagonal_takes_pseudo_pivots(self, caplog):
+        matrix = np.random.default_rng(9).uniform(0.1, 1.1, (8, 8))
+        np.fill_diagonal(matrix, 0.0)
+        assert self.counts(caplog, matrix, matrix.T)[1] > 0
+
+    def test_unequal_pair_counts_up_to_its_witness(self, caplog):
+        # The witness (1, 2) is the first subset after the 8 singletons; no Schur table.
+        matrix = np.random.default_rng(10).uniform(0.1, 1.1, (8, 8))
+        changed = matrix.copy()
+        changed[0, 1] *= 1.1
+        assert self.counts(caplog, matrix, changed) == (9, 0, 0)
 
 
 class TestBudgetSearchLog:

@@ -8,14 +8,19 @@ for bit, not just within a tolerance. So must the results of a sweep cut
 into slices of one subset each, and those of the budget search, which
 computes eigenvalues only where its radius lower bound cannot rule a
 profile out, on inputs built to defeat that bound. The minor-equality verdict
-sweeps both matrices together and stops at the first mismatch; its verdict,
-witness and max_discrepancy must be those of comparing two whole tables.
+sweeps both matrices together and stops at the first mismatch; its verdict and
+witness must be those of comparing two whole LU tables. Its larger minors come
+from a Schur-complement recursion whose values differ from LU in their last
+bits, so its max_discrepancy must lie within the bound derived from the
+recursion's error bound, which every Schur minor must meet against LU.
 """
 
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effspec import (
     RankOneFactorError,
@@ -27,16 +32,18 @@ from effspec import (
     minors_equal,
     rank1_factor,
 )
-from effspec import core, spectral
+from effspec import core, schur, spectral
 from support import (
     budget_search_by_profile,
     clan_scan_by_subset,
+    large_corner,
     minor_comparison_by_tables,
     minor_table_by_lu,
     radius_table_by_subset,
     random_clan_instance,
     rank1_fit_by_pivot,
     subset_slices_by_combinations,
+    subsets_by_combinations,
 )
 
 
@@ -75,9 +82,25 @@ def test_radius_table_matches_per_subset_oracle(kind, n):
     assert np.array_equal(boolean_radius_table(matrix).array, radius_table_by_subset(matrix))
 
 
-def verdicts(pairs, tol):
-    return [(v.equal, v.witness, v.max_discrepancy)
-            for v in (minors_equal(a, b, tol=tol) for a, b in pairs)]
+def discrepancy_bound(a, b):
+    # Where a Schur value decides a subset, each minor lies within the engine's bound E of
+    # its LU value (test_schur_minors_lie_within_their_bound), so |x - y| and the reference
+    # R = max(scale, |x|, |y|) move by at most E, and the mismatch m = |x - y| / R by at most
+    # E * (1 + m) / (R - E). The largest of these over the subsets bounds how far
+    # max_discrepancy may lie from the LU oracle's; subsets with R <= E are left to LU.
+    (x, y), _, reference, bound, _ = schur._schur_table(np.stack([a, b])).at(slice(1, None))
+    decidable = reference > bound
+    with np.errstate(divide="ignore", invalid="ignore"):
+        moved = bound * (1 + np.abs(x - y) / reference) / (reference - bound)
+    return float(moved[decidable].max(initial=0.0))
+
+
+def assert_verdicts_match(pairs, tol, expected):
+    # Verdict and witness exactly those of the oracle, max_discrepancy within the bound.
+    for (a, b), (equal, witness, worst) in zip(pairs, expected):
+        verdict = minors_equal(a, b, tol=tol)
+        assert (verdict.equal, verdict.witness) == (equal, witness)
+        assert abs(verdict.max_discrepancy - worst) <= discrepancy_bound(a, b)
 
 
 @pytest.mark.parametrize("kind, n", CASES, ids=IDS)
@@ -95,9 +118,73 @@ def test_minor_comparison_matches_whole_table_oracle(kind, n, monkeypatch):
         pairs.append((matrix, moved))
     tols = (0.0, 1e-12, 1e-9)
     expected = [[minor_comparison_by_tables(a, b, tol) for a, b in pairs] for tol in tols]
-    assert [verdicts(pairs, tol) for tol in tols] == expected
+    for tol, oracle in zip(tols, expected):
+        assert_verdicts_match(pairs, tol, oracle)
     monkeypatch.setattr(core, "_SLICE_BYTES", 1)
-    assert [verdicts(pairs, tol) for tol in tols] == expected
+    for tol, oracle in zip(tols, expected):
+        assert_verdicts_match(pairs, tol, oracle)
+
+
+def big_diagonal_entry(rng, n):
+    # diag(1e12) + uniform: one pivot far above every other entry.
+    m = np.zeros((n, n))
+    m[0, 0] = 1e12
+    m[1:, 1:] = positive(rng, n - 1)
+    return m
+
+
+def graded(rng, n):
+    # diag(10**-i) K: rows, minors and pivots spread over n orders of magnitude.
+    return np.diag(10.0 ** -np.arange(n)) @ positive(rng, n)
+
+
+FAR_BLOCK = np.array([[1e8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+BOUND_CASES = ([make(kind, n) for kind, n in CASES]
+               + [large_corner(seed) for seed in range(4)]
+               + [large_corner(seed).T for seed in range(4)]
+               + [kind(np.random.default_rng(n), n) for kind in (big_diagonal_entry, graded)
+                  for n in range(2, 10)]
+               + [FAR_BLOCK, FAR_BLOCK + np.diag([0.0, 1.0], 1)])
+BOUND_IDS = (IDS + [f"large_corner-{seed}{t}" for t in ("", "T") for seed in range(4)]
+             + [f"{kind}-n{n}" for kind in ("big_diagonal_entry", "graded") for n in range(2, 10)]
+             + ["far_block", "far_block_bumped"])
+
+
+@pytest.mark.parametrize("matrix", BOUND_CASES, ids=BOUND_IDS)
+def test_schur_minors_lie_within_their_bound(matrix):
+    # Every minor of the Schur engine against per-subset LU, within its stated bound.
+    positions = np.array([sum(1 << (i - 1) for i in alpha)
+                          for alpha in subsets_by_combinations(len(matrix))])
+    minors, _, _, bound, _ = schur._schur_table(matrix[None]).at(positions)
+    assert (np.abs(minors[0] - minor_table_by_lu(matrix)) <= bound).all()
+
+
+@st.composite
+def oracle_pairs(draw):
+    # A sparse or dense positive matrix, with a zero diagonal or not, against its
+    # transpose, a diagonal similarity or a copy with one entry moved.
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    matrix = np.where(rng.random((n, n)) < draw(st.sampled_from([0.5, 1.0])),
+                      positive(rng, n), 0.0)
+    if draw(st.booleans()):
+        np.fill_diagonal(matrix, 0.0)
+    other = draw(st.sampled_from(["transpose", "similar", "moved"]))
+    if other == "transpose":
+        return matrix, matrix.T
+    if other == "similar":
+        d = rng.uniform(0.5, 2.0, n)
+        return matrix, d[:, None] * matrix / d
+    moved = matrix.copy()
+    moved[tuple(rng.integers(0, n, 2))] += draw(st.sampled_from([1e-3, 1e-10]))
+    return matrix, moved
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_pairs(), st.sampled_from([0.0, 1e-12, 1e-9]))
+def test_verdict_and_witness_are_those_of_the_oracle(pair, tol):
+    verdict = minors_equal(*pair, tol=tol)
+    assert (verdict.equal, verdict.witness) == minor_comparison_by_tables(*pair, tol)[:2]
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -112,9 +199,9 @@ def test_first_mismatch_planted_at_every_size(k, monkeypatch):
     planted[0, k - 1] += 1.0
     expected = minor_comparison_by_tables(matrix, planted)
     assert expected[:2] == (False, tuple(range(1, k + 1)))
-    assert verdicts([(matrix, planted)], 1e-9) == [expected]
+    assert_verdicts_match([(matrix, planted)], 1e-9, [expected])
     monkeypatch.setattr(core, "_SLICE_BYTES", 1)
-    assert verdicts([(matrix, planted)], 1e-9) == [expected]
+    assert_verdicts_match([(matrix, planted)], 1e-9, [expected])
 
 
 @pytest.mark.parametrize("slice_bytes", [1, 100, core._SLICE_BYTES])
