@@ -3,8 +3,8 @@
 The engine behind :func:`effspec.spectral.minors_equal` past the 2 x 2 minors: the
 Schur-complement recursion of Griffin and Tsatsomeros (Principal minors, Part I, Linear
 Algebra Appl. 419, 2006) over both matrices of a pair at once, with pseudo-pivots for
-small pivots. Its values screen a comparison; LU judges every subset the bound leaves in
-doubt. Nothing here is public.
+small pivots. Its values decide a comparison where their error bound allows; LU judges
+every subset the bound leaves in doubt. Nothing here is public.
 """
 
 from typing import NamedTuple
@@ -17,9 +17,6 @@ __all__: list[str] = []
 _PART_LEVELS, _RUN = 13, 1 << 12
 # A pivot at most this fraction of the largest |entry| of its row and column is replaced.
 _PSEUDO_PIVOT = 0.5
-# The constant C of the error bound, five times the largest ratio of |Schur - LU| to the
-# bound with C = 1 measured over random, graded, rank-deficient and badly scaled matrices.
-_BOUND = 4.0
 
 
 class _SchurTable(NamedTuple):
@@ -27,39 +24,36 @@ class _SchurTable(NamedTuple):
 
     Position T, whose bit i stands for index i + 1, holds subset T, and position 0 the
     empty set (minor 1): ``minors[j, T]`` approximates det(m[j][T]), ``weight[T]`` is the
-    path weight of T (see :func:`_schur_table`), ``top[T]`` is max|m[:, T, T]| and
-    ``sizes[T]`` is |T|.
+    path weight of T (see :func:`_schur_table`) and ``top[T]`` is max|m[:, T, T]|.
     """
 
     minors: np.ndarray
     weight: np.ndarray
     top: np.ndarray
-    sizes: np.ndarray
     pseudo_pivots: int
 
-    def at(self, positions) -> tuple[np.ndarray, ...]:
-        """Minors (d, count), scale top**k, reference max(scale, |minors|), error bound and
-        size k of the subsets at ``positions`` (an index array or a slice).
+    def at(self, positions: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Minors (d, count), scale top**k, reference max(scale, |minors|) and error bound
+        of the subsets at ``positions``, of sizes ``k`` (integer arrays of one length).
 
-        With u = 2**-53, C = _BOUND and ref the reference, the bound on the sum over
-        the d matrices of |minor - det| is
+        With u = 2**-53 and ref the reference, the bound on the sum over the d matrices of
+        the gap between a minor here and the LU determinant of its block is
 
-            C * d * (u * (k * weight + (k + 1 + |ln ref|) * ref) + k * 2**-1022).
+            d * (u * (6 k**2 * (weight + ref) + |ln ref| * ref) + k * 2**-1022).
 
-        C * k * u * weight bounds the error of the recursion; the ref term covers the
-        rounding of an LU determinant, which goes through a logarithm, and 2**-1022
-        underflow. It is a first-order estimate, not a theorem: the tests hold it against
-        per-subset LU on random and adversarial matrices.
+        6 k**2 * u * weight bounds the recursion's error and 6 k**2 * u * ref that of LU,
+        under the proviso of :func:`_schur_table`; numpy's det goes through a logarithm,
+        which adds |ln ref| * u * ref, and each pivot can underflow by 2**-1022.
         """
-        d, minors, sizes = len(self.minors), self.minors[:, positions], self.sizes[positions]
+        d, minors = len(self.minors), self.minors[:, positions]
         with np.errstate(over="ignore", invalid="ignore"):  # NaN and inf bounds doubt all
-            scale = np.power(self.top[positions], sizes)
+            scale = np.power(self.top[positions], k)
             reference = np.maximum(scale, np.abs(minors).max(0))
             logs = np.abs(np.log(np.maximum(reference, 2.0 ** -1074)))
-            bound = sizes * (self.weight[positions] + reference) + (1 + logs) * reference
-            bound += sizes * 2.0 ** -969  # k * 2**-1022 / u
-            bound *= _BOUND * d * 2.0 ** -53
-        return minors, scale, reference, bound, sizes
+            bound = (6 * k * k) * (self.weight[positions] + reference) + logs * reference
+            bound += k * 2.0 ** -969  # k * 2**-1022 / u
+            bound *= d * 2.0 ** -53
+        return minors, scale, reference, bound
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and NaN minors are doubted
@@ -76,13 +70,18 @@ def _schur_table(m: np.ndarray) -> _SchurTable:
     diagonal entry, so, from the deepest level up, minor(T) += (p - delta) * minor(T - {l + 1})
     restores the exact minors of every T below the replacement.
 
-    The error bound follows Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 9.3): elimination without pivoting on m[T] gives L U = m[T] + E with
-    |E| <= gamma_k |L| |U|. Every entry a step reads carries an error of a few units of
-    roundoff of the largest reach on the path so far, so to first order the product of the
-    pivots errs by a small multiple of k * u * weight[T], where weight[T] is the product
-    over T's pivots of that running largest reach, taken over the stack. A correction adds
+    The error bound counts roundings to first order in u = 2**-53, with weight[T] the
+    product over T's pivots of the running largest reach R (over the stack). Step j of
+    T's path forms each entry of the next complement as fl(s - fl(c * fl(r / p))), with
+    |c| <= R, |r / p| <= 2, and, where no entry grows past 2 R (the proviso of growth
+    factors in LU analysis: growth beyond it shows in later reaches, not in this count),
+    its three roundings add at most 2uR + 2uR + 2uR. Pivot i takes i - 1 such steps and
+    errs by at most 6 (k - 1) u R_i; |p| <= R at every pivot, so that moves the product of
+    the k pivots by at most 6 (k - 1) u weight[T], and the product's own roundings by
+    (k - 1) u weight[T]: 6 k**2 u weight[T] in all. A correction adds
     max |p - delta| * weight[T - {l + 1}] to weight[T], the magnitude of the term it adds.
+    LU with partial pivoting takes the same count with R <= max|m[T]|, its multipliers
+    being at most 1.
 
     The recursion runs in parts of 2**_PART_LEVELS subsets, each in buffers of its
     own: the levels above them run once, for all parts, and their corrections wait for all
@@ -105,18 +104,17 @@ def _schur_table(m: np.ndarray) -> _SchurTable:
         weight[root::1 << split] = part_weight[:, 0]
         pseudo += sum(np.count_nonzero(shift) for shift in part_shifts)
     _correct(minors[..., None], weight[:, None], shifts)
-    # Sizes and block maxima by doubling: T + 2**l extends T by index l + 1.
+    # Block maxima by doubling: T + 2**l extends T by index l + 1.
     w = np.abs(m).max(0)
     w = np.maximum(w, w.T)
-    top, sizes = np.zeros(1 << n), np.zeros(1 << n, dtype=np.uint8)
+    top = np.zeros(1 << n)
     for l in range(n):
         extended = top[1 << l:2 << l]  # first the largest w[l, j] over j in T + {l}
         extended[0] = w[l, l]
         for j in range(l):
             np.maximum(extended[:1 << j], w[l, j], out=extended[1 << j:2 << j])
         np.maximum(extended, top[:1 << l], out=extended)
-        np.add(sizes[:1 << l], 1, out=sizes[1 << l:2 << l])
-    return _SchurTable(minors, weight, top, sizes, pseudo)
+    return _SchurTable(minors, weight, top, pseudo)
 
 
 def _descend(nodes, reached, minors, weight):
@@ -163,3 +161,18 @@ def _correct(minors, weight, shifts):
             for q in range(0, w.shape[0], run):
                 v[:, q:q + run, 1] += shift * v[:, q:q + run, 0]
                 w[q:q + run, 1] += np.abs(shift).max(0) * w[q:q + run, 0]
+
+
+def _masks_in_order(n: int) -> np.ndarray:
+    # The position of every subset of range(n) in index_sets order (size, then lex order of
+    # the sorted subsets), the empty set first. The k-subsets of {a, ..., n - 1} are a
+    # joined to each (k - 1)-subset of {a + 1, ...}, then the k-subsets of {a + 1, ...}.
+    level = [np.zeros(1, dtype=np.int32)] * (n + 1)  # level[a]: the k-subsets of {a, ...}
+    order = []
+    for k in range(n + 1):
+        order.append(level[0])
+        longer = [np.zeros(0, dtype=np.int32)] * (n + 1)
+        for a in reversed(range(n - k)):
+            longer[a] = np.concatenate([level[a + 1] | (1 << a), longer[a + 1]])
+        level = longer
+    return np.concatenate(order)

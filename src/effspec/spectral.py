@@ -26,6 +26,7 @@ import numpy as np
 
 from .core import (
     EIGENVALUE_TOL,
+    _SLICE_BYTES,
     IndexSet,
     SubsetTable,
     _check_tol,
@@ -201,9 +202,10 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
     with an error bound per subset; otherwise LU goes on. A Schur value decides a subset
     only where its mismatch clears ``tol`` by more than the bound. Every other subset is
     recomputed by LU, and the LU values stand for it, so verdicts and witnesses are those
-    of LU, while ``max_discrepancy`` comes from the Schur values where they decide. One
-    DEBUG record on the ``effspec`` logger gives the subsets compared, the pseudo-pivots
-    taken and the subsets rechecked by LU.
+    of LU wherever the first-order bound holds (see :meth:`effspec.schur._SchurTable.at`),
+    while ``max_discrepancy`` comes from the Schur values where they decide. One DEBUG
+    record on the ``effspec`` logger gives the subsets compared, the pseudo-pivots taken
+    and the subsets rechecked by LU.
 
     The pair is multiplied by the one exact power of two that brings max|K| into
     [2**-32, 2**32); a pair already there is untouched, as det goes through a logarithm
@@ -241,29 +243,29 @@ def minors_equal(K, K2, tol: float = 1e-9) -> EqualityVerdict:
                 return
 
     def schur_slices():
-        # The Schur values of sizes 3 to n in index_sets order, the doubtful ones by LU.
-        nonlocal rechecked
-        for size in range(3, n + 1):
-            for chosen in _subset_slices(n, size, 2 * size * size):
-                (x, y), scale, reference, bound, _ = table.at((1 << chosen).sum(1))
-                with np.errstate(invalid="ignore"):  # a NaN margin is doubtful
-                    margin = np.abs(x - y) - tol * reference
-                doubt = np.flatnonzero(~(np.abs(margin) > bound * (1 + tol)))
-                if doubt.size:
-                    x[doubt], y[doubt], scale[doubt] = _lu_minors(pair, chosen[doubt])
-                    rechecked += doubt.size
-                yield x, y, scale
-
-    verdict = _compare("principal-minors", n, lu_slices(), tol)
-    if engine and verdict.equal:
-        from .schur import _schur_table  # a process that never gets here never loads it
+        # The Schur values of sizes 3 to n in index_sets order. A Schur value decides a subset
+        # only where its mismatch clears tol by more than its error bound; LU judges the rest.
+        nonlocal pseudo, rechecked
+        from .schur import _masks_in_order, _schur_table  # loaded only by a process that gets here
+        order = _masks_in_order(n)  # first: its build peaks above what it keeps
         table = _schur_table(pair)
-        pseudo, screened = table.pseudo_pivots, _screen(table, pair, tol)
-        if screened:
-            worst, rechecked = screened
-            verdict = replace(verdict, max_discrepancy=max(verdict.max_discrepancy, worst))
-        else:  # a subset of size 3 or more offends: the ordered sweep finds the first
-            verdict = _compare("principal-minors", n, chain(lu_slices(), schur_slices()), tol)
+        pseudo = table.pseudo_pivots
+        for start in range(1 + n * (n + 1) // 2, 1 << n, _SCHUR_RUN):
+            run = order[start:start + _SCHUR_RUN]
+            sizes = np.bitwise_count(run).astype(np.intp)
+            (x, y), scale, reference, bound = table.at(run, sizes)
+            with np.errstate(invalid="ignore"):  # a NaN margin is doubtful
+                margin = np.abs(x - y) - tol * reference
+            doubt = np.flatnonzero(~(np.abs(margin) > bound * (1 + tol)))
+            for size in set(sizes[doubt].tolist()):  # np.unique would import numpy.ma
+                at = doubt[sizes[doubt] == size]
+                chosen = np.nonzero(run[at, None] >> np.arange(n) & 1)[1]
+                x[at], y[at], scale[at] = _lu_minors(pair, chosen.reshape(-1, size), batch)
+            rechecked += doubt.size
+            yield x, y, scale
+
+    slices = chain(lu_slices(), schur_slices()) if engine else lu_slices()
+    verdict = _compare("principal-minors", n, slices, tol)
     if _log.isEnabledFor(logging.DEBUG):
         compared = 2 ** n - 1 if verdict.equal else _subset_rank(n, verdict.witness) + 1
         _log.debug("minor comparison: %d subsets compared, %d pseudo-pivots, %d rechecked by LU",
@@ -281,7 +283,9 @@ def _minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
 def _rescaled_minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     # As _minors_and_tops, but a block whose size-k minors could leave the float range
     # (top**k below 2**-960) is first scaled by the power of two that brings its top into
-    # [1, 2): its minors and top come back in those units.
+    # [1, 2): its minors and top come back in those units. Its two extra passes cost a pair
+    # whose first difference is 2 x 2 13-20% of its time, so minors_equal takes it only
+    # where a block can be that far (design_ab in BENCH_schur_compare.json).
     size = blocks.shape[-1]
     exponent = np.frexp(np.maximum(blocks.max((0, -2, -1)), -blocks.min((0, -2, -1))))[1]
     far = np.flatnonzero(size * exponent < -960)
@@ -289,48 +293,23 @@ def _rescaled_minors_and_tops(blocks: np.ndarray) -> tuple[np.ndarray, ...]:
     return _minors_and_tops(blocks)
 
 
-def _lu_minors(pair: np.ndarray, chosen: np.ndarray) -> tuple[np.ndarray, ...]:
-    # (x, y, scale) of the subsets that are the rows of ``chosen``, of one size, by LU.
+def _lu_minors(pair: np.ndarray, chosen: np.ndarray, batch) -> tuple[np.ndarray, ...]:
+    # (x, y, scale) of the subsets that are the rows of ``chosen``, of one size, by ``batch``,
+    # in runs whose stacked blocks fit a sixteenth of _SLICE_BYTES, beside the Schur tables.
+    size = chosen.shape[1]
+    per = max(1, _SLICE_BYTES // (256 * size * size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x, y, top = _rescaled_minors_and_tops(pair[:, chosen[:, :, None], chosen[:, None, :]])
-    return x, y, functools.reduce(np.multiply, [top] * chosen.shape[1])
+        x, y, top = np.concatenate([batch(pair[:, run[:, :, None], run[:, None, :]])
+                                    for run in np.split(chosen, range(per, len(chosen), per))],
+                                   axis=1)
+    return x, y, functools.reduce(np.multiply, [top] * size)
 
 
-def _screen(table, pair: np.ndarray, tol: float):
-    # (worst mismatch, subsets rechecked by LU) over every subset of size 3 or more, in
-    # bitmask order, or None as soon as one offends; the order matters only then.
-    n, worst, doubts = pair.shape[-1], 0.0, []
-    for start in range(0, 1 << n, _SCREEN_BLOCK):
-        (x, y), _, reference, bound, sizes = table.at(slice(start, start + _SCREEN_BLOCK))
-        with np.errstate(invalid="ignore"):  # a NaN margin is doubtful
-            gap = np.abs(x - y)
-            margin, slack = gap - tol * reference, bound * (1 + tol)
-        large = sizes > 2
-        if (margin[large] > slack[large]).any():
-            return None
-        doubt = large & ~(margin < -slack)
-        worst = max(worst, float(_mismatch(gap, reference)[large & ~doubt].max(initial=0.0)))
-        doubts.append(start + np.flatnonzero(doubt))
-    masks = np.concatenate(doubts)
-    for size in range(3, n + 1):
-        of_size = masks[table.sizes[masks] == size]
-        per = max(1, (_SCREEN_BLOCK << 4) // (size * size))  # 1 MiB of blocks
-        for start in range(0, len(of_size), per):
-            bits = (of_size[start:start + per, None] >> np.arange(n)) & 1
-            x, y, scale = _lu_minors(pair, np.nonzero(bits)[1].reshape(-1, size))
-            mismatch = _mismatch(np.abs(x - y), scale, x, y)
-            if not (mismatch <= tol).all():
-                return None
-            worst = max(worst, float(mismatch.max()))
-    return worst, len(masks)
-
-
-# Bytes a subset costs the Schur engine: its minors, weight, block maximum and size tables
-# (33 at d = 2), rounded up. Past _SCHUR_BYTES, minors_equal stays on LU, so the engine
-# serves n <= 20. A part of its recursion and a block of the screen add under 1 MiB.
-_SCHUR_SUBSET_BYTES, _SCHUR_BYTES = 40, 48 << 20
-# Positions of one block of the screen.
-_SCREEN_BLOCK = 1 << 12
+# Bytes a subset costs the Schur engine: its minors, weight and block maximum tables (32 at
+# d = 2) and its position in index_sets order (4), rounded up. Past _SCHUR_BYTES,
+# minors_equal stays on LU, so the engine serves n <= 20. A part of its recursion and a
+# run of _SCHUR_RUN positions compared at once add under 1 MiB.
+_SCHUR_SUBSET_BYTES, _SCHUR_BYTES, _SCHUR_RUN = 40, 48 << 20, 1 << 12
 
 
 def same_effective_family(K, K2, tol: float = 1e-9) -> EqualityVerdict:

@@ -43,6 +43,7 @@ from support import (
     random_clan_instance,
     rank1_fit_by_pivot,
     subset_slices_by_combinations,
+    submatrix,
     subsets_by_combinations,
 )
 
@@ -82,13 +83,23 @@ def test_radius_table_matches_per_subset_oracle(kind, n):
     assert np.array_equal(boolean_radius_table(matrix).array, radius_table_by_subset(matrix))
 
 
+def schur_minors(m, subsets):
+    # The Schur engine's minors (d, count) of the stack m at the 1-based ``subsets``, with
+    # their references and error bounds.
+    masks = np.array([sum(1 << (i - 1) for i in alpha) for alpha in subsets])
+    sizes = np.array([len(alpha) for alpha in subsets])
+    minors, _, reference, bound = schur._schur_table(m).at(masks, sizes)
+    return minors, reference, bound
+
+
 def discrepancy_bound(a, b):
     # Where a Schur value decides a subset, each minor lies within the engine's bound E of
     # its LU value (test_schur_minors_lie_within_their_bound), so |x - y| and the reference
     # R = max(scale, |x|, |y|) move by at most E, and the mismatch m = |x - y| / R by at most
-    # E * (1 + m) / (R - E). The largest of these over the subsets bounds how far
-    # max_discrepancy may lie from the LU oracle's; subsets with R <= E are left to LU.
-    (x, y), _, reference, bound, _ = schur._schur_table(np.stack([a, b])).at(slice(1, None))
+    # E * (1 + m) / (R - E). The largest of these over the subsets of size 3 and up bounds
+    # how far max_discrepancy may lie from the LU oracle's; subsets with R <= E go to LU.
+    larger = list(subsets_by_combinations(len(a), range(3, len(a) + 1)))
+    (x, y), reference, bound = schur_minors(np.stack([a, b]), larger)
     decidable = reference > bound
     with np.errstate(divide="ignore", invalid="ignore"):
         moved = bound * (1 + np.abs(x - y) / reference) / (reference - bound)
@@ -96,11 +107,16 @@ def discrepancy_bound(a, b):
 
 
 def assert_verdicts_match(pairs, tol, expected):
-    # Verdict and witness exactly those of the oracle, max_discrepancy within the bound.
+    # Verdict and witness exactly those of the oracle. max_discrepancy too where LU alone
+    # decides: at tol 0, at n <= 2 and where a subset of size 1 or 2 offends; where the
+    # Schur engine reads the sizes from 3 on, it lies within the bound of the oracle's.
     for (a, b), (equal, witness, worst) in zip(pairs, expected):
         verdict = minors_equal(a, b, tol=tol)
         assert (verdict.equal, verdict.witness) == (equal, witness)
-        assert abs(verdict.max_discrepancy - worst) <= discrepancy_bound(a, b)
+        if tol > 0 and len(a) > 2 and (equal or len(witness) > 2):
+            assert abs(verdict.max_discrepancy - worst) <= discrepancy_bound(a, b)
+        else:
+            assert verdict.max_discrepancy == worst
 
 
 @pytest.mark.parametrize("kind, n", CASES, ids=IDS)
@@ -153,10 +169,39 @@ BOUND_IDS = (IDS + [f"large_corner-{seed}{t}" for t in ("", "T") for seed in ran
 @pytest.mark.parametrize("matrix", BOUND_CASES, ids=BOUND_IDS)
 def test_schur_minors_lie_within_their_bound(matrix):
     # Every minor of the Schur engine against per-subset LU, within its stated bound.
-    positions = np.array([sum(1 << (i - 1) for i in alpha)
-                          for alpha in subsets_by_combinations(len(matrix))])
-    minors, _, _, bound, _ = schur._schur_table(matrix[None]).at(positions)
+    minors, _, bound = schur_minors(matrix[None], list(subsets_by_combinations(len(matrix))))
     assert (np.abs(minors[0] - minor_table_by_lu(matrix)) <= bound).all()
+
+
+def corner(rng, n):
+    # large_corner at size n: 1e8 in the (1, n) corner of a uniform matrix.
+    return large_corner(int(rng.integers(2 ** 31)), n)
+
+
+def rank_deficient(rng, n):
+    # A positive matrix of rank n // 2: every minor of size above n // 2 is 0.
+    return positive(rng, n)[:, :n // 2] @ positive(rng, n)[:n // 2]
+
+
+LARGE_KINDS = [corner, big_diagonal_entry, graded, zero_diagonal, sparse_signed, rank_deficient]
+LARGE_CASES = [(kind, n) for n in (15, 18, 20) for kind in LARGE_KINDS]
+
+
+@pytest.mark.parametrize("kind, n", LARGE_CASES,
+                         ids=[f"{kind.__name__}-n{n}" for kind, n in LARGE_CASES])
+def test_schur_minors_lie_within_their_bound_at_large_n(kind, n):
+    # At the sizes the engine serves, on a matrix stacked with its transpose as
+    # minors_equal stacks a pair: every subset of sizes 1, 2, n - 1 and n and 2000 drawn
+    # at random, against per-subset LU.
+    rng = np.random.default_rng([n, LARGE_KINDS.index(kind)])
+    matrix = kind(rng, n)
+    drawn = {tuple(np.flatnonzero(row) + 1) for row in rng.random((2000, n)) < 0.5} - {()}
+    subsets = sorted(drawn | set(subsets_by_combinations(n, (1, 2, n - 1, n))))
+    minors, _, bound = schur_minors(np.stack([matrix, matrix.T]), subsets)
+    lu = [[m[alpha[0] - 1, alpha[0] - 1] if len(alpha) == 1
+           else np.linalg.det(submatrix(m, alpha, alpha)) for alpha in subsets]
+          for m in (matrix, matrix.T)]
+    assert (np.abs(minors - lu).sum(0) <= bound).all()
 
 
 @st.composite
