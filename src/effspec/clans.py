@@ -133,14 +133,6 @@ class Clan:
     c: np.ndarray
     w: np.ndarray
 
-    def transposed(self) -> "Clan":
-        """The clan structure describing the partial transpose's output.
-
-        The transform swaps the roles of v and w, so applying the partial
-        transpose again with this clan recovers the original matrix.
-        """
-        return Clan(alpha=self.alpha, v=self.w, b=self.b, c=self.c, w=self.v)
-
 
 def clan_at(K, alpha, tol: float = CLAN_RANK_TOL) -> Clan | None:
     """The clan on subset ``alpha``, or None when alpha is not a clan.
@@ -209,8 +201,11 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
          [ c @ v.T,  B       ]]
 
     mapped back to the original index order. The clan is re-verified
-    against K before transforming. The output is generally not unique
-    across factor choices; this one is determined by the clan's factors.
+    against K before transforming: each factor block must match within
+    ``tol`` times that block's largest entry magnitude, the test
+    :func:`clan_at` applies to its own factors. The output is generally
+    not unique across factor choices; this one is determined by the clan's
+    factors. Applying it again with v and w swapped recovers K.
     """
     k = as_matrix(K)
     n = k.shape[0]
@@ -220,11 +215,11 @@ def partial_transpose(K, clan: Clan, tol: float = CLAN_RANK_TOL) -> np.ndarray:
     rows = [i - 1 for i in a]
     cols = _complements(np.array([rows]), n)[0]
     _check_tol(tol)
-    # np.maximum keeps a NaN gap, which then fails the test like any mismatch.
-    gap = np.maximum(np.abs(k[np.ix_(rows, cols)] - np.outer(clan.v, clan.b)).max(initial=0.0),
-                     np.abs(k[np.ix_(cols, rows)] - np.outer(clan.c, clan.w)).max(initial=0.0))
-    if not _mismatch(gap, np.abs(k).max()) <= tol:
-        raise ValueError("clan factors do not reproduce the matrix blocks")
+    for block, u, v in ((k[np.ix_(rows, cols)], clan.v, clan.b),
+                        (k[np.ix_(cols, rows)], clan.c, clan.w)):
+        # A NaN gap fails the test like any mismatch.
+        if not np.abs(block - np.outer(u, v)).max() <= tol * np.abs(block).max():
+            raise ValueError("clan factors do not reproduce the matrix blocks")
     result = k.copy()
     result[np.ix_(rows, rows)] = k[np.ix_(rows, rows)].T
     result[np.ix_(rows, cols)] = np.outer(clan.w, clan.b)
@@ -256,8 +251,9 @@ class Classification:
     witness: SimilarityWitness | None = None
 
 
-def _is_symmetric(m: np.ndarray, tol: float) -> bool:
-    return bool(_mismatch(np.abs(m - m.T).max(), np.abs(m).max()) <= tol)
+def _agree(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    # Entry for entry: |x_ij - y_ij| <= tol * max(|x_ij|, |y_ij|).
+    return bool((_mismatch(np.abs(x - y), 0.0, x, y) <= tol).all())
 
 
 def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
@@ -282,9 +278,9 @@ def classify_minor_equal_pair(K, K2, tol: float = 1e-9) -> Classification:
         raise ValueError("principal minors differ (first mismatch at subset "
                          f"{verdict.witness}); classification needs a minor-equal pair")
 
-    sym_a = _is_symmetric(a, tol)
-    if sym_a and _is_symmetric(b, tol):
-        if _mismatch(np.abs(a - b).max(), np.abs([a, b]).max()) <= tol:
+    sym_a = _agree(a, a.T, tol)
+    if sym_a and _agree(b, b.T, tol):
+        if _agree(a, b, tol):
             return Classification(kind="identical")
         return Classification(kind="unresolved")
     if sym_a:

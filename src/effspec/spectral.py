@@ -54,7 +54,6 @@ __all__ = [
     "minors_equal",
     "same_effective_family",
     "signed_equality_check",
-    "scaling_identities_check",
     "spectrum_mismatch",
     "multisets_match",
     "budget_minimize",
@@ -461,34 +460,3 @@ def multisets_match(values_a, values_b, tol: float = EIGENVALUE_TOL) -> bool:
     b = np.atleast_1d(np.asarray(values_b, dtype=complex))
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
     return bool(_mismatch(spectrum_mismatch(a, b), scale) <= tol)
-
-
-def scaling_identities_check(K, eta, eta_eval, tol: float = EIGENVALUE_TOL) -> bool:
-    """Check the four equivalent diagonal-scaling placements at one profile.
-
-    For nonnegative K and a fixed scaling eta, the matrices
-
-        K @ diag(eta),  diag(eta) @ K,
-        diag(ind) @ K @ diag(eta),  diag(eta) @ K @ diag(ind)
-
-    with ind the indicator of the support of eta all define the same
-    effective-spectrum function. Returns True when their spectra, each
-    evaluated at ``eta_eval``, agree as multisets within ``tol``; refuses
-    products that leave the float range.
-    """
-    _check_tol(tol)
-    k = as_matrix(K)
-    if (k < 0).any():
-        raise ValueError("scaling identities are stated for nonnegative matrices")
-    n = k.shape[0]
-    e = as_eta(eta, n)
-    e2 = as_eta(eta_eval, n)
-    ind = (e > 0).astype(float)
-    candidates = (
-        _scaled(k, e),                      # K @ diag(eta)
-        _scaled(k.T, e).T,                  # diag(eta) @ K
-        _scaled(ind[:, None] * k, e),       # diag(ind) @ K @ diag(eta)
-        _scaled((k * ind).T, e).T,          # diag(eta) @ K @ diag(ind)
-    )
-    spectra = [eigenvalues(_scaled(c, e2)) for c in candidates]
-    return all(multisets_match(spectra[0], s, tol) for s in spectra[1:])

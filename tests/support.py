@@ -29,6 +29,9 @@ from effspec import (
     Clan,
     RankOneFactorError,
     all_principal_minors,
+    as_eta,
+    effective_spectrum,
+    multisets_match,
     spectral_radius,
 )
 
@@ -92,6 +95,26 @@ def large_corner(seed, n=9):
     matrix = np.random.default_rng(seed).uniform(0.1, 1.1, (n, n))
     matrix[0, n - 1] = 1e8
     return matrix
+
+
+def corner(rng, n):
+    """``large_corner`` at size n, from a seed drawn from ``rng``."""
+    return large_corner(int(rng.integers(2 ** 31)), n)
+
+
+def big_diagonal_entry(rng, n):
+    """A far block: 1e12 at (1, 1), zeros in the rest of its row and column, and a
+    uniform(0.1, 1.1) block on indices 2..n. One pivot lies far above every other entry."""
+    m = np.zeros((n, n))
+    m[0, 0] = 1e12
+    m[1:, 1:] = rng.uniform(0.1, 1.1, (n - 1, n - 1))
+    return m
+
+
+def graded(rng, n):
+    """diag(10**-i) times a uniform(0.1, 1.1) matrix: rows, minors and pivots spread
+    over n orders of magnitude."""
+    return np.diag(10.0 ** -np.arange(n)) @ rng.uniform(0.1, 1.1, (n, n))
 
 
 def subsets_by_combinations(n, sizes=None):
@@ -284,9 +307,35 @@ def bottleneck_by_permutation(values_a, values_b):
                for perm in itertools.permutations(range(b.size)))
 
 
-def reachability(K, pattern_tol=0.0):
+def scaling_identities_check(K, eta, eta_eval, tol=1e-8):
+    """Check the four equivalent diagonal-scaling placements at one profile.
+
+    For nonnegative K and a fixed scaling eta, the matrices
+
+        K @ diag(eta),  diag(eta) @ K,
+        diag(ind) @ K @ diag(eta),  diag(eta) @ K @ diag(ind)
+
+    with ind the indicator of the support of eta all define the same
+    effective-spectrum function. Returns True when their effective spectra
+    at ``eta_eval`` agree as multisets within ``tol``; refuses products that
+    leave the float range.
+    """
+    k = np.asarray(K, dtype=float)
+    if (k < 0).any():
+        raise ValueError("scaling identities are stated for nonnegative matrices")
+    e = as_eta(eta, k.shape[0])
+    ind = (e > 0).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        candidates = (k * e, e[:, None] * k, ind[:, None] * k * e, e[:, None] * k * ind)
+    if not all(np.isfinite(c).all() for c in candidates):
+        raise ValueError("a scaled matrix leaves the float range")
+    spectra = [effective_spectrum(c, eta_eval) for c in candidates]
+    return all(multisets_match(spectra[0], s, tol) for s in spectra[1:])
+
+
+def reachability(K, threshold=0.0):
     """Boolean closure: entry (i, j) true when a directed path joins i to j."""
-    adjacency = np.abs(np.asarray(K, dtype=float)) > pattern_tol
+    adjacency = np.abs(np.asarray(K, dtype=float)) > threshold
     n = adjacency.shape[0]
     closure = adjacency.copy()
     for mid in range(n):
@@ -294,22 +343,22 @@ def reachability(K, pattern_tol=0.0):
     return closure
 
 
-def irreducible_by_closure(K, pattern_tol=0.0):
+def irreducible_by_closure(K, threshold=0.0):
     """Strong connectivity via reachability closure (vacuous at size 1)."""
     n = np.asarray(K).shape[0]
     if n == 1:
         return True
-    closure = reachability(K, pattern_tol)
+    closure = reachability(K, threshold)
     off_diagonal = ~np.eye(n, dtype=bool)
     return bool(closure[off_diagonal].all())
 
 
-def atoms_by_reachability(K, pattern_tol=0.0):
+def atoms_by_reachability(K, threshold=0.0):
     """Atoms as mutual-reachability classes of Warshall's closure, each
     grown from the smallest index not yet placed, so ordered by their
     smallest member."""
     n = np.asarray(K).shape[0]
-    closure = reachability(K, pattern_tol) | np.eye(n, dtype=bool)
+    closure = reachability(K, threshold) | np.eye(n, dtype=bool)
     blocks, placed = [], set()
     for i in range(n):
         if i in placed:
@@ -320,7 +369,7 @@ def atoms_by_reachability(K, pattern_tol=0.0):
     return blocks
 
 
-def maximal_irreducible_sets(K, pattern_tol=0.0):
+def maximal_irreducible_sets(K, threshold=0.0):
     """Inclusion-maximal subsets inducing a strongly connected block.
 
     Exhaustive over all subsets; meant for n <= 6.
@@ -328,7 +377,7 @@ def maximal_irreducible_sets(K, pattern_tol=0.0):
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
     irreducible = [alpha for alpha in subsets_by_combinations(n)
-                   if irreducible_by_closure(submatrix(K, alpha, alpha), pattern_tol)]
+                   if irreducible_by_closure(submatrix(K, alpha, alpha), threshold)]
     maximal = []
     for alpha in irreducible:
         members = set(alpha)

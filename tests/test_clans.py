@@ -186,6 +186,15 @@ class TestPartialTranspose:
                            match=re.escape("clan subset (1,) must have size between 2 and 2")):
             partial_transpose(np.eye(4), clan)
 
+    def test_factors_are_checked_against_their_own_block(self):
+        # A far diagonal entry does not widen the check of the small blocks: factors
+        # 1e-6 off are refused, whatever max|K|.
+        matrix, alpha, v, b, c, w = random_clan_instance(np.random.default_rng(65), 5, 2)
+        matrix[2, 2] = 1e12
+        assert partial_transpose(matrix, clan_at(matrix, alpha)) is not None
+        with pytest.raises(ValueError, match="do not reproduce"):
+            partial_transpose(matrix, Clan(alpha=alpha, v=v * (1 + 1e-6), b=b, c=c, w=w))
+
     @pytest.mark.parametrize("factor", ["v", "b", "c", "w"])
     def test_nan_factors_rejected(self, factor):
         # A NaN gap fails every "> tol" test; it must fail the re-verification instead.
@@ -241,7 +250,7 @@ class TestPartialTranspose:
             matrix, alpha, *_ = random_clan_instance(rng, n)
             clan = clan_at(matrix, alpha)
             transformed = partial_transpose(matrix, clan)
-            back = partial_transpose(transformed, clan.transposed())
+            back = partial_transpose(transformed, Clan(clan.alpha, clan.w, clan.b, clan.c, clan.v))
             assert np.abs(back - matrix).max() <= 1e-12
 
     def test_nonuniform_alpha_positions(self):
@@ -367,6 +376,24 @@ class TestClassification:
         recovered = outcome.witness.d / outcome.witness.d[0]
         np.testing.assert_allclose(recovered, d, rtol=1e-10)
 
+    # The entries 1 and 1.05 at (3, 2) and (2, 3) differ by far more than tol, if by
+    # less than tol * max|K| = 0.1: FAR is not symmetric.
+    FAR = np.array([[1e8, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.05, 1.0]])
+
+    @pytest.mark.parametrize("other, kind, d", [
+        pytest.param(FAR.T, "diagonally-similar-to-K-transpose", [1.0, 1.0, 1.0],
+                     id="transpose"),
+        pytest.param(FAR * [1.0, 2.0, 4.0] / [[1.0], [2.0], [4.0]], "diagonally-similar-to-K",
+                     [1.0, 0.5, 0.25], id="similar"),
+        pytest.param(FAR.T * [1.0, 2.0, 4.0] / [[1.0], [2.0], [4.0]],
+                     "diagonally-similar-to-K-transpose", [1.0, 0.5, 0.25],
+                     id="transpose-similar"),
+    ])
+    def test_far_entry_does_not_make_a_pair_identical(self, other, kind, d):
+        outcome = classify_minor_equal_pair(self.FAR, other)
+        assert outcome.kind == kind
+        np.testing.assert_array_equal(outcome.witness.d, d)
+
     def test_direct_similarity_found(self):
         matrix = np.array([[1.0, 2.0, 1.0],
                            [1.0, 1.0, 3.0],
@@ -420,6 +447,20 @@ def clan_input(draw):
     if draw(st.booleans()):
         return random_clan_instance(rng, n)[0], rng
     return rng.uniform(-1.0, 1.0, (n, n)), rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(clan_input(), st.integers(0, 40))
+def test_partial_transpose_accepts_every_clan_found(case, exponent):
+    # Its re-check is the scan's own rank-1 test: each block against its largest
+    # entry, however far another entry lies above it.
+    matrix, rng = case
+    n = matrix.shape[0]
+    i = int(rng.integers(n))
+    matrix[i, i] = 2.0 ** exponent
+    for clan in find_clans(matrix):
+        transformed = partial_transpose(matrix, clan)
+        assert transformed[i, i] == matrix[i, i]
 
 
 def clan_subsets(matrix):

@@ -321,6 +321,29 @@ class TestTableCommands:
         assert "atom: {1}\n" in out
         assert "atom: {2}\n" in out
 
+    @pytest.mark.parametrize("matrix, blocks", [
+        ([[1e8, 0, 0], [0, 0, 1e-5], [0, 1e-5, 0]], ["{1}", "{2,3}"]),
+        ([[1e8, 1, 0], [0, 0, 1e-5], [1e-5, 1e-5, 0]], ["{1,2,3}"]),
+    ], ids=["far-block", "far-cycle"])
+    def test_atoms_keep_small_entries_beside_a_large_one(self, tmp_path, capsys, matrix,
+                                                         blocks):
+        path = write(tmp_path, "m.txt", matrix)
+        assert main(["atoms", path]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [f"atom: {b}" for b in blocks]
+
+    def test_atoms_leaves_numpy_ma_unimported(self, tmp_path):
+        # Grouping the atoms needs no np.unique, whose first call imports numpy.ma.
+        path = write(tmp_path, "t.txt", [[1.0, 5.0], [0.0, 2.0]])
+        code = ("import sys\n"
+                "from effspec.cli import main\n"
+                f"assert main(['atoms', {path!r}]) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(effspec.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-2:] == ["atom: {2}", "False"]
+
     def test_clans_on_3x3_exits_zero(self, tmp_path, capsys):
         rng = np.random.default_rng(83)
         path = write(tmp_path, "m3.txt", rng.uniform(0, 1, (3, 3)))
@@ -383,6 +406,22 @@ class TestDiagsimCommand:
         a = write(tmp_path, "a.txt", [[0.0, 1.0], [1.0, 0.0]])
         b = write(tmp_path, "b.txt", [[0.0, 2.0], [2.0, 0.0]])
         assert main(["diagsim", a, b]) == 1
+
+    @pytest.mark.parametrize("json_lines", [False, True], ids=["text", "json-lines"])
+    def test_far_entry_does_not_hide_a_cycle_mismatch(self, tmp_path, capsys, json_lines):
+        # The cycle 2 -> 3 -> 2 has products 1 and 1.05; compare says not-equal at {2,3}.
+        matrix = np.array([[1e8, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        bumped = matrix.copy()
+        bumped[1, 2] = 1.05
+        a = write(tmp_path, "a.txt", matrix)
+        b = write(tmp_path, "b.txt", bumped)
+        flags = ["--json-lines"] * json_lines
+        verdict = ('{"key": "verdict", "value": "not-similar"}' if json_lines
+                   else "verdict: not-similar")
+        assert main(["diagsim", a, b, *flags]) == 1
+        assert capsys.readouterr().out.splitlines()[3:] == [verdict]
+        assert main(["compare", a, b]) == 1
+        assert "witness: {2,3}" in capsys.readouterr().out
 
     def test_scaling_out_of_float_range_is_usage_error(self, tmp_path, capsys):
         # I plus 1e-11 above and 1 below the diagonal, against its mirror: similar with

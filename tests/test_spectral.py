@@ -26,7 +26,6 @@ from effspec import (
     minors_equal,
     multisets_match,
     same_effective_family,
-    scaling_identities_check,
     signed_equality_check,
     spectrum_mismatch,
 )
@@ -37,6 +36,7 @@ from support import (
     budget_search_by_profile,
     large_corner,
     random_nonnegative,
+    scaling_identities_check,
     sparse_irreducible,
     submatrix,
 )
@@ -227,8 +227,6 @@ class TestMinorsEqual:
             compare_boolean_tables(table, table, tol=tol)
         with pytest.raises(ValueError, match="tolerance"):
             multisets_match([1.0], [2.0], tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
-            scaling_identities_check(np.ones((2, 2)), [1, 1], [1, 1], tol=tol)
 
     def test_tolerance_checked_before_tables(self, monkeypatch, zero_diag_pair):
         def refuse(*args, **kwargs):

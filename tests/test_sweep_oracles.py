@@ -34,8 +34,11 @@ from effspec import (
 )
 from effspec import core, schur, spectral
 from support import (
+    big_diagonal_entry,
     budget_search_by_profile,
     clan_scan_by_subset,
+    corner,
+    graded,
     large_corner,
     minor_comparison_by_tables,
     minor_table_by_lu,
@@ -141,19 +144,6 @@ def test_minor_comparison_matches_whole_table_oracle(kind, n, monkeypatch):
         assert_verdicts_match(pairs, tol, oracle)
 
 
-def big_diagonal_entry(rng, n):
-    # diag(1e12) + uniform: one pivot far above every other entry.
-    m = np.zeros((n, n))
-    m[0, 0] = 1e12
-    m[1:, 1:] = positive(rng, n - 1)
-    return m
-
-
-def graded(rng, n):
-    # diag(10**-i) K: rows, minors and pivots spread over n orders of magnitude.
-    return np.diag(10.0 ** -np.arange(n)) @ positive(rng, n)
-
-
 FAR_BLOCK = np.array([[1e8, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
 BOUND_CASES = ([make(kind, n) for kind, n in CASES]
                + [large_corner(seed) for seed in range(4)]
@@ -171,11 +161,6 @@ def test_schur_minors_lie_within_their_bound(matrix):
     # Every minor of the Schur engine against per-subset LU, within its stated bound.
     minors, _, bound = schur_minors(matrix[None], list(subsets_by_combinations(len(matrix))))
     assert (np.abs(minors[0] - minor_table_by_lu(matrix)) <= bound).all()
-
-
-def corner(rng, n):
-    # large_corner at size n: 1e8 in the (1, n) corner of a uniform matrix.
-    return large_corner(int(rng.integers(2 ** 31)), n)
 
 
 def rank_deficient(rng, n):
